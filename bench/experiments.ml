@@ -839,14 +839,15 @@ let e15 () =
   Printf.printf "wrote bench/BENCH_parallel.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* E16 — the kernel-plan execution backend vs the legacy closure tree:
-   sweep wall clock at rank 2 and 3 (identical grids, bit-identical
-   outputs asserted), plus a sanitized pass over the legal tuning space
-   of both shipped machine models confirming the plan driver traps
-   nowhere the schedule analyzer allows. Writes bench/BENCH_plan.json. *)
+(* E16 — the kernel-plan execution backend: sweep wall clock at rank 2
+   and 3, with the output checked bit-identical against the codegen
+   backend on the same grids, plus a sanitized pass over the legal
+   tuning space of both shipped machine models confirming the plan
+   driver traps nowhere the schedule analyzer allows. Writes
+   bench/BENCH_plan.json. *)
 
 let e16 () =
-  header "e16" "Kernel-plan backend vs closure backend (BENCH_plan.json)";
+  header "e16" "Kernel-plan backend sweeps (BENCH_plan.json)";
   let module Sweep = Engine.Sweep in
   let module Sanitizer = Engine.Sanitizer in
   let time f =
@@ -885,18 +886,22 @@ let e16 () =
       (o, !best)
     in
     let o_plan, plan_s = run Sweep.Plan_backend in
-    let o_closure, closure_s = run Sweep.Closure_backend in
-    let identical = Grid.max_abs_diff o_plan o_closure = 0.0 in
+    let o_codegen = Grid.create ~halo ~dims () in
+    ignore
+      (Sweep.run ~backend:Sweep.Codegen_backend spec ~inputs:[| a |]
+         ~output:o_codegen
+        : Sweep.stats);
+    let identical = Grid.max_abs_diff o_plan o_codegen = 0.0 in
     let points = Array.fold_left ( * ) 1 dims in
-    let speedup = closure_s /. plan_s in
     Printf.printf
-      "%-14s rank %d %-12s %7d pts x%d: closure %.4f s, plan %.4f s \
-       (%.2fx, outputs %s)\n"
+      "%-14s rank %d %-12s %7d pts x%d: plan %.4f s (%.1f MLUP/s, outputs \
+       %s codegen)\n"
       spec.Stencil.Spec.name rank
       (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
-      points reps closure_s plan_s speedup
-      (if identical then "bit-identical" else "DIFFER");
-    (spec, dims, points, reps, closure_s, plan_s, speedup, identical)
+      points reps plan_s
+      (float_of_int (points * reps) /. plan_s /. 1e6)
+      (if identical then "bit-identical to" else "DIFFER from");
+    (spec, dims, points, reps, plan_s, identical)
   in
   let cases =
     List.map sweep_case
@@ -931,7 +936,7 @@ let e16 () =
       [ clx; rome ]
   in
   let json =
-    let case_json (spec, dims, points, reps, closure_s, plan_s, speedup, id) =
+    let case_json (spec, dims, points, reps, plan_s, id) =
       Printf.sprintf
         "    {\n\
         \      \"stencil\": \"%s\",\n\
@@ -939,14 +944,12 @@ let e16 () =
         \      \"dims\": [%s],\n\
         \      \"points\": %d,\n\
         \      \"reps\": %d,\n\
-        \      \"closure_s\": %.6f,\n\
         \      \"plan_s\": %.6f,\n\
-        \      \"speedup\": %.2f,\n\
-        \      \"bit_identical\": %b\n\
+        \      \"bit_identical_to_codegen\": %b\n\
         \    }"
         spec.Stencil.Spec.name spec.Stencil.Spec.rank
         (String.concat ", " (Array.to_list (Array.map string_of_int dims)))
-        points reps closure_s plan_s speedup id
+        points reps plan_s id
     in
     let legal_json (m, space, legal, traps) =
       Printf.sprintf
@@ -1283,15 +1286,14 @@ let e18 () =
 (* ------------------------------------------------------------------ *)
 (* E19 — the codegen backend: kernels specialized per plan fingerprint,
    compiled out of process and cached. Sweep wall clock against the
-   plan interpreter and the closure tree (bit-identical outputs
-   asserted), plus the compile-cache economics: first sweep against an
+   plan interpreter (bit-identical outputs asserted), plus the compile-cache economics: first sweep against an
    empty store (pays the compiler) vs a fresh process warm-starting
    from the store (pays only the Dynlink load). Writes
    bench/BENCH_codegen.json. *)
 
 let e19 () =
   header "e19"
-    "Codegen backend vs plan and closure backends (BENCH_codegen.json)";
+    "Codegen backend vs plan backend (BENCH_codegen.json)";
   let module Sweep = Engine.Sweep in
   let module Native = Engine.Native in
   let time f =
@@ -1351,25 +1353,19 @@ let e19 () =
         done;
         (o, !best)
       in
-      let o_closure, closure_s = run Sweep.Closure_backend in
       let o_plan, plan_s = run Sweep.Plan_backend in
       let o_codegen, codegen_s = run Sweep.Codegen_backend in
-      let identical =
-        Grid.max_abs_diff o_plan o_closure = 0.0
-        && Grid.max_abs_diff o_plan o_codegen = 0.0
-      in
+      let identical = Grid.max_abs_diff o_plan o_codegen = 0.0 in
       let points = Array.fold_left ( * ) 1 dims in
       let vs_plan = plan_s /. codegen_s in
-      let vs_closure = closure_s /. codegen_s in
       Printf.printf
-        "%-14s rank %d %-12s %7d pts x%d: closure %.4f s, plan %.4f s, \
-         codegen %.4f s (%.2fx vs plan, %.2fx vs closure, outputs %s)\n"
+        "%-14s rank %d %-12s %7d pts x%d: plan %.4f s, codegen %.4f s \
+         (%.2fx vs plan, outputs %s)\n"
         spec.Stencil.Spec.name rank
         (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
-        points reps closure_s plan_s codegen_s vs_plan vs_closure
+        points reps plan_s codegen_s vs_plan
         (if identical then "bit-identical" else "DIFFER");
-      (spec, dims, points, reps, closure_s, plan_s, codegen_s, vs_plan,
-       vs_closure, identical)
+      (spec, dims, points, reps, plan_s, codegen_s, vs_plan, identical)
     in
     let cases =
       List.map sweep_case
@@ -1429,9 +1425,8 @@ let e19 () =
       (cold_s /. warm_s)
       warm_stats.Native.compiles warm_stats.Native.store_hits;
     let json =
-      let case_json
-          (spec, dims, points, reps, closure_s, plan_s, codegen_s, vs_plan,
-           vs_closure, id) =
+      let case_json (spec, dims, points, reps, plan_s, codegen_s, vs_plan, id)
+          =
         Printf.sprintf
           "    {\n\
           \      \"stencil\": \"%s\",\n\
@@ -1439,16 +1434,14 @@ let e19 () =
           \      \"dims\": [%s],\n\
           \      \"points\": %d,\n\
           \      \"reps\": %d,\n\
-          \      \"closure_s\": %.6f,\n\
           \      \"plan_s\": %.6f,\n\
           \      \"codegen_s\": %.6f,\n\
           \      \"speedup_vs_plan\": %.2f,\n\
-          \      \"speedup_vs_closure\": %.2f,\n\
           \      \"bit_identical\": %b\n\
           \    }"
           spec.Stencil.Spec.name spec.Stencil.Spec.rank
           (String.concat ", " (Array.to_list (Array.map string_of_int dims)))
-          points reps closure_s plan_s codegen_s vs_plan vs_closure id
+          points reps plan_s codegen_s vs_plan id
       in
       Printf.sprintf
         "{\n\

@@ -113,21 +113,19 @@ let sanitize_arg =
   Arg.(value & flag & info [ "sanitize" ] ~doc)
 
 let backend_arg =
-  let backend =
-    Arg.enum
-      [ ("plan", Engine.Sweep.Plan_backend);
-        ("closure", Engine.Sweep.Closure_backend);
-        ("codegen", Engine.Sweep.Codegen_backend) ]
-  in
+  (* YASKSITE_BACKEND's parser: same names, same one-line rejection. *)
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Engine.Sweep.backend_of_string s)
+  and print ppf b = Format.pp_print_string ppf (Engine.Sweep.backend_name b) in
+  let backend = Arg.conv (parse, print) in
   let doc =
     "Execution backend for sweeps and program stages: $(b,plan) (the \
      kernel-plan driver — row-hoisted table-addressed loops, the \
-     default), $(b,closure) (the legacy per-point closure tree), or \
-     $(b,codegen) (kernels specialized per plan fingerprint, compiled \
-     out of process and cached; falls back to plan when no OCaml \
-     toolchain is available). All produce bit-identical results — \
-     including multi-stage program runs. Default: the \
-     YASKSITE_BACKEND environment variable, else plan."
+     default) or $(b,codegen) (kernels specialized per plan \
+     fingerprint, compiled out of process and cached; falls back to \
+     plan when no OCaml toolchain is available). Both produce \
+     bit-identical results — including multi-stage program runs. \
+     Default: the YASKSITE_BACKEND environment variable, else plan."
   in
   Arg.(
     value

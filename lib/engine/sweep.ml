@@ -2,7 +2,6 @@ module Grid = Yasksite_grid.Grid
 module Hierarchy = Yasksite_cachesim.Hierarchy
 module Spec = Yasksite_stencil.Spec
 module Analysis = Yasksite_stencil.Analysis
-module Compile = Yasksite_stencil.Compile
 module Plan = Yasksite_stencil.Plan
 module Lower = Yasksite_stencil.Lower
 module Codegen = Yasksite_stencil.Codegen
@@ -25,7 +24,7 @@ let add_stats a b =
 
 (* ---- execution backends ---- *)
 
-type backend = Plan_backend | Closure_backend | Codegen_backend
+type backend = Plan_backend | Codegen_backend
 
 let backend_override = ref None
 
@@ -34,9 +33,7 @@ let set_default_backend b = backend_override := Some b
 let clear_default_backend () = backend_override := None
 
 let legal_backends =
-  [ ("plan", Plan_backend);
-    ("closure", Closure_backend);
-    ("codegen", Codegen_backend) ]
+  [ ("plan", Plan_backend); ("codegen", Codegen_backend) ]
 
 let backend_of_string s =
   match List.assoc_opt (String.lowercase_ascii (String.trim s)) legal_backends with
@@ -66,7 +63,6 @@ let default_backend () =
 
 let backend_name = function
   | Plan_backend -> "plan"
-  | Closure_backend -> "closure"
   | Codegen_backend -> "codegen"
 
 let ceil_div a b = (a + b - 1) / b
@@ -128,7 +124,7 @@ let check_region ~extend ~dims ~lo ~hi =
 (* All ranks route through the plan driver for addressing: row bases are
    set once per row ([Lower.set_row]) and the inner x-loop walks the
    row through the bound's precomputed last-dimension tables. The
-   closure backend only swaps the evaluator — tracing, sanitizing and
+   codegen backend only swaps the evaluator — tracing, sanitizing and
    output addressing are shared, which is what keeps the two backends'
    traces and traps identical by construction. *)
 
@@ -169,25 +165,6 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
   let block = Config.block_extents config ~dims in
   let nt = config.Config.streaming_stores in
   let backend = match backend with Some b -> b | None -> default_backend () in
-  (* On the closure backend the staged compiler runs first, so its
-     diagnostics ([Compile: ...], Unresolved_coefficient) keep surfacing
-     exactly as before the plan driver existed. *)
-  let closure_eval =
-    match backend with
-    | Plan_backend | Codegen_backend -> None
-    | Closure_backend ->
-        Some
-          (match rank with
-          | 1 ->
-              let f = Compile.compile1 spec ~inputs in
-              fun (_ : int array) x -> f x
-          | 2 ->
-              let f = Compile.compile2 spec ~inputs in
-              fun (outer : int array) x -> f outer.(0) x
-          | _ ->
-              let f = Compile.compile3 spec ~inputs in
-              fun (outer : int array) x -> f outer.(0) outer.(1) x)
-  in
   let bound =
     match bound with
     | Some b -> b
@@ -205,7 +182,7 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
     match backend with
     | Codegen_backend ->
         Native.kern_for ~plan:(Lower.plan_of bound) ~inputs ~output
-    | Plan_backend | Closure_backend -> None
+    | Plan_backend -> None
   in
   (* Shadow checks run per point *before* any evaluation or address
      computation, so an out-of-bounds trap fires ahead of the driver's
@@ -239,8 +216,8 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
             write wc)
   in
   let row_body =
-    match (closure_eval, trace, sanitize_point, kern) with
-    | None, None, None, Some k ->
+    match (trace, sanitize_point, kern) with
+    | None, None, Some k ->
         (* the generated hot path: the compiled unit's own row loop,
            driven by the same bound storage and row bases as the
            interpreter's *)
@@ -250,14 +227,13 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
           k.Codegen.row rw.Lower.r_slot_data rw.Lower.r_slot_tab
             rw.Lower.r_out_data rw.Lower.r_out_tab row
             (Lower.driver_out_row drv) xb xe
-    | None, None, None, None ->
+    | None, None, None ->
         (* the hot path: one monomorphic loop inside the driver *)
         fun (_ : int array) xb xe -> Lower.store_row drv xb xe
     | _ ->
         let eval =
-          match (closure_eval, kern) with
-          | Some f, _ -> f
-          | None, Some k ->
+          match kern with
+          | Some k ->
               (* instrumented codegen runs: the generated point
                  evaluator under the driver's addressing, so traces,
                  traps and output placement stay shared with the
@@ -266,7 +242,7 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
               let row = Lower.driver_row drv in
               fun (_ : int array) x ->
                 k.Codegen.point rw.Lower.r_slot_data rw.Lower.r_slot_tab row x
-          | None, None -> fun (_ : int array) x -> Lower.eval drv x
+          | None -> fun (_ : int array) x -> Lower.eval drv x
         in
         let traced =
           match trace with
@@ -398,16 +374,13 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
     Lint.gate ~context:"Sweep.run"
       (Schedule_lint.grids ?extend (Analysis.of_spec spec) cfg ~inputs ~output);
   let backend = match backend with Some b -> b | None -> default_backend () in
-  (* Lower once when the plan backend needs a bound or a certificate
-     lookup needs the fingerprint. *)
+  (* Lower once: the bound and any certificate lookup share the plan.
+     A caller-supplied bound already carries its plan. *)
   let plan =
-    match plan with
-    | Some _ -> plan
-    | None ->
-        if backend <> Closure_backend
-           || (sanitize <> None && check && Cert.enabled ())
-        then Some (Lower.lower spec)
-        else None
+    match (plan, bound) with
+    | Some p, _ -> p
+    | None, Some b -> Lower.plan_of b
+    | None, None -> Lower.lower spec
   in
   (* Certified fast path: a sanitized, gate-checked sweep whose
      (plan x layout x halo x blocking) tuple holds a safety certificate
@@ -417,9 +390,9 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
      composes with later checked passes. [check:false] (the
      adversarial mode) never takes the fast path. *)
   let certified =
-    match (sanitize, plan) with
-    | Some _, Some p when check && Cert.enabled () ->
-        let hit = Cert.mem (Cert.key ~plan:p ~inputs ~output ~config:cfg) in
+    match sanitize with
+    | Some _ when check && Cert.enabled () ->
+        let hit = Cert.mem (Cert.key ~plan ~inputs ~output ~config:cfg) in
         if hit then Cert.record_fast_path ();
         hit
     | _ -> false
@@ -435,15 +408,11 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
         Some (Sanitizer.begin_sweep san ~inputs ~output)
   in
   (* Bind once; the bound is immutable and shared by every pool slice
-     (each slice allocates its own driver). The closure backend binds
-     inside [run_region], after the staged compiler's own checks. *)
+     (each slice allocates its own driver). *)
   let bound =
-    match (backend, bound) with
-    | _, Some b -> Some b
-    | Closure_backend, None -> None
-    | (Plan_backend | Codegen_backend), None ->
-        let p = match plan with Some p -> p | None -> Lower.lower spec in
-        Some (Lower.bind p ~inputs ~output)
+    match bound with
+    | Some b -> b
+    | None -> Lower.bind plan ~inputs ~output
   in
   let slice_of s =
     if certified then None
@@ -452,7 +421,7 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
   let stats =
     match pool with
     | None ->
-        run_sequential ~backend ?bound ?trace ?sanitize:(slice_of 0)
+        run_sequential ~backend ~bound ?trace ?sanitize:(slice_of 0)
           ~check:false ?config ?vec_unit ?extend spec ~inputs ~output
     | Some pool ->
       let dims = Grid.dims output in
@@ -466,7 +435,7 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
       let nblocks = ceil_div (dims.(pd) + (2 * ext.(pd))) bsize in
       let nslices = min (Pool.size pool) nblocks in
       if nslices < 2 then
-        run_sequential ~backend ?bound ?trace ?sanitize:(slice_of 0)
+        run_sequential ~backend ~bound ?trace ?sanitize:(slice_of 0)
           ~check:false ?config ?vec_unit ?extend spec ~inputs ~output
       else begin
         let bounds s =
@@ -488,7 +457,7 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
             Pool.parallel_for ~chunk:1 pool ~n:nslices (fun s ->
                 let lo, hi = bounds s in
                 out.(s) <-
-                  run_region ~backend ?bound ?sanitize:(slice_of s)
+                  run_region ~backend ~bound ?sanitize:(slice_of s)
                     ~check:false ?config ?vec_unit spec ~inputs ~output ~lo
                     ~hi)
         | Some h ->
@@ -507,7 +476,7 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
             Pool.parallel_for ~chunk:1 pool ~n:nslices (fun s ->
                 let lo, hi = bounds s in
                 out.(s) <-
-                  run_region ~backend ?bound ~trace:clones.(s)
+                  run_region ~backend ~bound ~trace:clones.(s)
                     ?sanitize:(slice_of s) ~check:false ?config ?vec_unit
                     spec ~inputs ~output ~lo ~hi);
             Array.iter (fun c -> Hierarchy.merge_counters ~into:h c) clones;

@@ -1,7 +1,8 @@
 module Grid = Yasksite_grid.Grid
 module Spec = Yasksite_stencil.Spec
 module Analysis = Yasksite_stencil.Analysis
-module Compile = Yasksite_stencil.Compile
+module Lower = Yasksite_stencil.Lower
+module Sweep = Yasksite_engine.Sweep
 open Yasksite_stencil.Dsl
 
 type boundary = Dirichlet of float | Periodic
@@ -146,40 +147,62 @@ let init_grid t =
   apply_boundary t g;
   g
 
-(* Flat-vector view: copy the state in, refresh halos, sweep the
-   stencil, copy the derivative out. *)
+(* Flat-vector view on the engine, run the way Offsite's executor runs
+   its kernels: the state and derivative grids and the bound plan are
+   made once; each call copies [y] into the state interior row by row,
+   refreshes a periodic halo (Dirichlet halos never change), sweeps on
+   the default backend and copies the derivative out row by row. The
+   flat vector is the interior in row-major order, so flat row [r] is
+   the grid row with outer coordinates [r] in mixed radix. *)
 let to_ivp t ~t_end =
   let points = Array.fold_left ( * ) 1 t.dims in
-  let state = Grid.create ~halo:(halo t) ~dims:t.dims () in
-  let eval_at =
+  let state = init_grid t and deriv = Grid.create ~dims:t.dims () in
+  (* Lower.bind checks field count, ranks and halo coverage; the grids
+     are fresh and distinct with equal dims, so the sweep gate has
+     nothing left to prove per call. *)
+  let bound =
+    Lower.bind (Lower.lower t.spec) ~inputs:[| state |] ~output:deriv
+  in
+  let nx = t.dims.(t.rank - 1) in
+  let outer r =
     match t.rank with
-    | 1 ->
-        let f = Compile.compile1 t.spec ~inputs:[| state |] in
-        fun (idx : int array) -> f idx.(0)
-    | 2 ->
-        let f = Compile.compile2 t.spec ~inputs:[| state |] in
-        fun idx -> f idx.(0) idx.(1)
-    | _ ->
-        let f = Compile.compile3 t.spec ~inputs:[| state |] in
-        fun idx -> f idx.(0) idx.(1) idx.(2)
+    | 1 -> [||]
+    | 2 -> [| r |]
+    | _ -> [| r / t.dims.(1); r mod t.dims.(1) |]
+  in
+  let row_starts g =
+    let lp = (Grid.left_pad g).(t.rank - 1) in
+    Array.init (points / nx) (fun r -> Grid.row_base g (outer r) + lp)
+  in
+  let state_rows = row_starts state and deriv_rows = row_starts deriv in
+  let state_raw = Grid.raw state and deriv_raw = Grid.raw deriv in
+  let copy_out raw rows v =
+    Array.iteri
+      (fun r base ->
+        let p = r * nx in
+        for x = 0 to nx - 1 do
+          v.(p + x) <- Bigarray.Array1.unsafe_get raw (base + x)
+        done)
+      rows
   in
   let rhs ~tm:_ ~y ~dydt =
-    let pos = ref 0 in
-    Grid.iter_interior state ~f:(fun idx ->
-        Grid.set state idx y.(!pos);
-        incr pos);
-    apply_boundary t state;
-    let pos = ref 0 in
-    Grid.iter_interior state ~f:(fun idx ->
-        dydt.(!pos) <- eval_at idx;
-        incr pos)
+    Array.iteri
+      (fun r base ->
+        let p = r * nx in
+        for x = 0 to nx - 1 do
+          Bigarray.Array1.unsafe_set state_raw (base + x) y.(p + x)
+        done)
+      state_rows;
+    (match t.boundary with
+    | Dirichlet _ -> ()
+    | Periodic -> Grid.halo_periodic state);
+    ignore
+      (Sweep.run ~bound ~check:false t.spec ~inputs:[| state |] ~output:deriv
+        : Sweep.stats);
+    copy_out deriv_raw deriv_rows dydt
   in
   let y0 = Array.make points 0.0 in
-  let pos = ref 0 in
-  let tmp = init_grid t in
-  Grid.iter_interior tmp ~f:(fun idx ->
-      y0.(!pos) <- Grid.get tmp idx;
-      incr pos);
+  copy_out state_raw state_rows y0;
   let exact =
     Option.map
       (fun f tm ->

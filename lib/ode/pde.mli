@@ -57,7 +57,11 @@ val init_grid : t -> Yasksite_grid.Grid.t
 
 val to_ivp : t -> t_end:float -> Ivp.t
 (** Flat-vector view of the problem for the reference integrators. The
-    IVP's exact solution is populated from the problem's, when present. *)
+    flat vector is the interior in row-major order. The RHS sweeps the
+    problem's stencil with the engine ({!Yasksite_engine.Sweep}, default
+    backend) over state and derivative grids owned by the IVP, so one
+    IVP must not evaluate its RHS concurrently. The IVP's exact solution
+    is populated from the problem's, when present. *)
 
 val grid_error_vs_exact : t -> tm:float -> Yasksite_grid.Grid.t -> float
 (** Max-norm error of a state grid against the analytic solution. *)

@@ -130,34 +130,29 @@ let refresh_halo t buffer =
   | Pde.Periodic -> Grid.halo_periodic (grid_of t buffer)
 
 let step t =
-  let backend = Sweep.default_backend () in
   List.iter
     (fun c ->
       List.iter (refresh_halo t) c.halo_inputs;
       let inputs = Array.map (grid_of t) c.kernel.Variant.inputs in
       let output = grid_of t c.kernel.Variant.output in
       (* [create] proved these grids legal once; skip the per-step gate. *)
+      (* Physical identity of the grid combination: the ping-pong swap
+         changes which grids the buffers resolve to, not the buffers
+         themselves. *)
+      let key =
+        Grid.base_address output
+        :: Array.to_list (Array.map Grid.base_address inputs)
+      in
       let bound =
-        match backend with
-        | Sweep.Closure_backend -> None
-        | Sweep.Plan_backend | Sweep.Codegen_backend ->
-            (* Physical identity of the grid combination: the ping-pong
-               swap changes which grids the buffers resolve to, not the
-               buffers themselves. *)
-            let key =
-              Grid.base_address output
-              :: Array.to_list (Array.map Grid.base_address inputs)
-            in
-            Some
-              (match List.assoc_opt key c.bounds with
-              | Some b -> b
-              | None ->
-                  let b = Lower.bind c.plan ~inputs ~output in
-                  c.bounds <- (key, b) :: c.bounds;
-                  b)
+        match List.assoc_opt key c.bounds with
+        | Some b -> b
+        | None ->
+            let b = Lower.bind c.plan ~inputs ~output in
+            c.bounds <- (key, b) :: c.bounds;
+            b
       in
       ignore
-        (Sweep.run ~backend ?bound ~check:false c.kernel.Variant.spec
+        (Sweep.run ~bound ~check:false c.kernel.Variant.spec
            ~inputs ~output
           : Sweep.stats))
     t.kernels;

@@ -193,8 +193,7 @@ type method_choice = {
 (* Dominant |eigenvalue| of the (linearised) RHS by power iteration on
    the flat-vector view — for parabolic problems this is the spectral
    radius of the discrete Laplacian that limits explicit step sizes. *)
-let spectral_radius (pde : Pde.t) =
-  let ivp = Yasksite_ode.Pde.to_ivp pde ~t_end:1.0 in
+let power_iteration (ivp : Yasksite_ode.Ivp.t) =
   let dim = ivp.Yasksite_ode.Ivp.dim in
   let rng = Yasksite_util.Prng.create ~seed:271828 in
   let v =
@@ -213,6 +212,9 @@ let spectral_radius (pde : Pde.t) =
     end
   done;
   !lambda
+
+let spectral_radius (pde : Pde.t) =
+  power_iteration (Yasksite_ode.Pde.to_ivp pde ~t_end:1.0)
 
 let rank_methods m (pde : Pde.t) tableaux ~threads =
   let rho = spectral_radius pde in
@@ -257,8 +259,10 @@ let max_norm_diff a b =
 let rank_methods_at_accuracy m (pde : Pde.t) tableaux ~t_end ~tol ~threads =
   if tol <= 0.0 then
     invalid_arg "Offsite.rank_methods_at_accuracy: tol must be positive";
+  (* One IVP serves the power iteration, the reference and the search:
+     its grids, plan and kernel are set up once per decision. *)
   let ivp = Yasksite_ode.Pde.to_ivp pde ~t_end in
-  let rho = spectral_radius pde in
+  let rho = power_iteration ivp in
   (* One fine reference for all methods: DOPRI5 at 4x the steps the most
      stability-constrained candidate needs. *)
   let min_interval =

@@ -4,7 +4,7 @@ module Grid = Yasksite_grid.Grid
 
    Every rewrite used below is exact in IEEE-754 double arithmetic for
    the finite data the engine operates on, so plan execution is
-   bit-identical to walking the closure tree Compile builds:
+   bit-identical to evaluating the expression tree directly:
 
    - constant subtrees are folded with the very operation the tree would
      have applied at run time;
@@ -180,6 +180,8 @@ let fingerprint spec = (lower spec).Plan.fingerprint
 
 (* ---- binding to concrete grids ---- *)
 
+exception Unresolved_coefficient of string
+
 let check (plan : Plan.t) ~inputs ~output =
   if Array.length inputs <> plan.Plan.n_fields then
     invalid_arg "Lower: input count does not match n_fields";
@@ -263,7 +265,7 @@ let bind (plan : Plan.t) ~inputs ~output =
   | Plan.Program { code; _ } ->
       Array.iter
         (function
-          | Plan.Sym n -> raise (Compile.Unresolved_coefficient n)
+          | Plan.Sym n -> raise (Unresolved_coefficient n)
           | _ -> ())
         code
   | Plan.Groups _ -> ());

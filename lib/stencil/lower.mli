@@ -19,13 +19,17 @@ val fingerprint : Spec.t -> string
     digest (spec name excluded) used by the ECM cache, tuner
     checkpoints and Offsite memoization. *)
 
+exception Unresolved_coefficient of string
+(** Raised by {!bind} on a plan that still holds a named coefficient
+    (a {!Plan.Sym} instruction). *)
+
 val check :
   Plan.t -> inputs:Yasksite_grid.Grid.t array ->
   output:Yasksite_grid.Grid.t -> unit
-(** Structural validation mirroring [Compile.check_inputs]: input count
-    equals [n_fields], every grid (and the output) has the plan's rank,
-    and each input's halo covers the accesses to it. Raises
-    [Invalid_argument] with a ["Lower: ..."] message. *)
+(** Structural validation: input count equals [n_fields], every grid
+    (and the output) has the plan's rank, and each input's halo covers
+    the accesses to it. Raises [Invalid_argument] with a ["Lower: ..."]
+    message. *)
 
 type bound
 (** A plan specialised to concrete grids: precomputed flat row bases,
@@ -34,7 +38,7 @@ type bound
 val bind :
   Plan.t -> inputs:Yasksite_grid.Grid.t array ->
   output:Yasksite_grid.Grid.t -> bound
-(** {!check}, refuse unresolved plans ([Compile.Unresolved_coefficient]),
+(** {!check}, refuse unresolved plans ({!Unresolved_coefficient}),
     then precompute the addressing tables. *)
 
 val plan_of : bound -> Plan.t

@@ -2,14 +2,15 @@
 
    Contract under test: a sweep on [Codegen_backend] — a natively
    compiled, fully unrolled specialization of the kernel plan — is
-   bit-identical to both interpreters (plan driver and closure tree)
-   across ranks, layouts, blocking, wavefronts and sanitized runs; the
+   bit-identical to the plan interpreter and to the test-only
+   tree-walking {!Oracle} across ranks, layouts, blocking, wavefronts
+   and sanitized runs; the
    compiled artifact round-trips through the kern-v1 store schema
    (warm runs skip the compiler entirely); corrupted or garbage store
    entries recompile instead of loading; and a machine without a
    toolchain degrades to the plan interpreter with a warning, never a
-   failure. Plus the satellite coverage: the three-way backend parser
-   and its precedence chain. *)
+   failure. Plus the satellite coverage: the backend parser and its
+   precedence chain. *)
 
 module Grid = Yasksite_grid.Grid
 module Spec = Yasksite_stencil.Spec
@@ -31,8 +32,7 @@ module Prng = Yasksite_util.Prng
 
 let qt = QCheck_alcotest.to_alcotest
 
-let all_backends =
-  [ Sweep.Plan_backend; Sweep.Closure_backend; Sweep.Codegen_backend ]
+let all_backends = [ Sweep.Plan_backend; Sweep.Codegen_backend ]
 
 let make_grid ?(layout = Grid.Linear) ~halo ~dims seed =
   let rng = Prng.create ~seed in
@@ -77,18 +77,21 @@ let test_backend_of_string () =
         (fun name ->
           if not (contains ~needle:(Printf.sprintf "%S" name) msg) then
             Alcotest.failf "rejection message %S does not list %s" msg name)
-        [ "plan"; "closure"; "codegen" ]
+        [ "plan"; "codegen" ];
+  match Sweep.backend_of_string "closure" with
+  | Ok _ -> Alcotest.fail "the deleted closure backend should be rejected"
+  | Error _ -> ()
 
 let test_backend_precedence () =
   Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
-  with_env "YASKSITE_BACKEND" "closure" @@ fun () ->
+  with_env "YASKSITE_BACKEND" "codegen" @@ fun () ->
   Sweep.clear_default_backend ();
   Alcotest.(check string)
-    "env wins over the built-in default" "closure"
+    "env wins over the built-in default" "codegen"
     (Sweep.backend_name (Sweep.default_backend ()));
-  Sweep.set_default_backend Sweep.Codegen_backend;
+  Sweep.set_default_backend Sweep.Plan_backend;
   Alcotest.(check string)
-    "explicit override wins over the environment" "codegen"
+    "explicit override wins over the environment" "plan"
     (Sweep.backend_name (Sweep.default_backend ()));
   Sweep.clear_default_backend ();
   with_env "YASKSITE_BACKEND" "" @@ fun () ->
@@ -144,10 +147,11 @@ let test_source_refuses_unresolved () =
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Three-way bit-identity (tentpole property).                         *)
+(* Three-way bit-identity: codegen, plan and the oracle.              *)
 
-(* One sweep of a random stencil, same grids and config, all three
-   backends: outputs must be bit-identical and the stats equal. *)
+(* One sweep of a random stencil, same grids and config, both backends
+   and the oracle: outputs must be bit-identical and the backends'
+   stats equal. *)
 let sweep_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
@@ -185,15 +189,20 @@ let sweep_three_way ~seed =
   in
   let o_code, s_code = run Sweep.Codegen_backend in
   let o_plan, s_plan = run Sweep.Plan_backend in
-  let o_closure, s_closure = run Sweep.Closure_backend in
+  let o_oracle = Grid.create ~halo ~layout ~dims () in
+  Oracle.sweep spec
+    ~inputs:[| make_grid ~layout ~halo ~dims (seed + 1000) |]
+    ~output:o_oracle;
   Grid.max_abs_diff o_code o_plan = 0.0
-  && Grid.max_abs_diff o_code o_closure = 0.0
-  && s_code = s_plan && s_code = s_closure
+  && Grid.max_abs_diff o_code o_oracle = 0.0
+  && s_code = s_plan
 
 let codegen_three_way_sweep =
-  QCheck.Test.make ~name:"codegen bit-reproduces plan and closure backends"
+  QCheck.Test.make ~name:"codegen bit-reproduces plan and oracle"
     ~count:20 QCheck.small_int (fun seed -> sweep_three_way ~seed)
 
+(* The temporal-blocking path against [steps] oracle sweeps. Here and
+   below, "three" counts the two backends and the oracle. *)
 let wavefront_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
@@ -213,8 +222,12 @@ let wavefront_three_way ~seed =
     final
   in
   let f_code = run Sweep.Codegen_backend in
+  let expected =
+    Oracle.steps spec ~a:(make_grid ~halo ~dims (seed + 1))
+      ~b:(make_grid ~halo ~dims (seed + 2)) ~steps
+  in
   Grid.max_abs_diff f_code (run Sweep.Plan_backend) = 0.0
-  && Grid.max_abs_diff f_code (run Sweep.Closure_backend) = 0.0
+  && Grid.max_abs_diff f_code expected = 0.0
 
 let codegen_three_way_wavefront =
   QCheck.Test.make ~name:"wavefront agrees across all three backends"
@@ -237,8 +250,11 @@ let sanitized_three_way ~seed =
     o
   in
   let o_code = run Sweep.Codegen_backend in
+  let expected = Grid.create ~halo ~dims () in
+  Oracle.sweep spec ~inputs:[| make_grid ~halo ~dims (seed + 3) |]
+    ~output:expected;
   Grid.max_abs_diff o_code (run Sweep.Plan_backend) = 0.0
-  && Grid.max_abs_diff o_code (run Sweep.Closure_backend) = 0.0
+  && Grid.max_abs_diff o_code expected = 0.0
 
 let codegen_three_way_sanitized =
   QCheck.Test.make ~name:"sanitized sweep agrees across all three backends"
@@ -246,7 +262,7 @@ let codegen_three_way_sanitized =
 
 (* The dynamic sanitizer reaches the same verdict on every backend: an
    aliased in-place sweep traps YS452 on codegen exactly as on the
-   interpreters. *)
+   plan interpreter. *)
 let test_sanitizer_verdict_parity () =
   let codes =
     List.map

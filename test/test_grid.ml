@@ -58,25 +58,25 @@ let offsets_bijective =
       go 0;
       !ok)
 
-let indexers_match_offset_of =
-  QCheck.Test.make ~name:"indexerN agrees with offset_of" ~count:100
+(* The row decomposition plan binding and [Pde.to_ivp] address through:
+   [row_base] of the outer coordinates plus the last-dimension table
+   entry of the padded last coordinate. *)
+let row_base_matches_offset_of =
+  QCheck.Test.make ~name:"row_base agrees with offset_of" ~count:100
     QCheck.small_int (fun seed ->
       let rng, rank, dims, halo, layout = shape_of_seed seed in
       let g = Grid.create ~halo ~layout ~dims () in
+      let tab = Grid.last_dim_offsets g in
+      let lp = (Grid.left_pad g).(rank - 1) in
       let ok = ref true in
       for _ = 1 to 50 do
         let idx =
           Array.init rank (fun i ->
               Prng.int rng ~bound:(dims.(i) + (2 * halo.(i))) - halo.(i))
         in
-        let reference = Grid.offset_of g idx in
-        let fast =
-          match rank with
-          | 1 -> Grid.indexer1 g idx.(0)
-          | 2 -> Grid.indexer2 g idx.(0) idx.(1)
-          | _ -> Grid.indexer3 g idx.(0) idx.(1) idx.(2)
-        in
-        if fast <> reference then ok := false
+        let outer = Array.sub idx 0 (rank - 1) in
+        let fast = Grid.row_base g outer + tab.(idx.(rank - 1) + lp) in
+        if fast <> Grid.offset_of g idx then ok := false
       done;
       !ok)
 
@@ -174,7 +174,7 @@ let suite =
   [ Alcotest.test_case "create validation" `Quick test_create_validation;
     Alcotest.test_case "get/set roundtrip" `Quick test_get_set_roundtrip;
     qt offsets_bijective;
-    qt indexers_match_offset_of;
+    qt row_base_matches_offset_of;
     Alcotest.test_case "fold alignment" `Quick test_fold_alignment;
     Alcotest.test_case "fill and iter" `Quick test_fill_and_iter;
     Alcotest.test_case "halo dirichlet" `Quick test_halo_dirichlet;

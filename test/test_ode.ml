@@ -289,10 +289,69 @@ let test_advection_2d () =
     (Invalid_argument "Pde.advection_2d: velocity components must be > 0")
     (fun () -> ignore (Pde.advection_2d ~n:8 ~velocity:(-1.0, 1.0)))
 
+(* [Pde.to_ivp]'s RHS against the test-only oracle applied to a grid
+   filled from the same flat vector (row-major interior) with the
+   problem's boundary applied: bit-identical on both backends, for
+   every constructor. Multi-dimensional problems are reshaped to
+   unequal extents (the stencil does not depend on them) so a
+   transposed row mapping cannot pass; two different vectors per IVP
+   catch a stale periodic halo. *)
+let test_rhs_matches_oracle () =
+  let module Sweep = Yasksite_engine.Sweep in
+  let problems =
+    [ Pde.heat ~rank:1 ~n:9 ~alpha:0.7;
+      { (Pde.heat ~rank:2 ~n:6 ~alpha:1.3) with Pde.dims = [| 5; 7 |] };
+      { (Pde.heat ~rank:3 ~n:4 ~alpha:0.4) with Pde.dims = [| 4; 6; 5 |] };
+      Pde.advection_1d ~n:11 ~velocity:1.0;
+      { (Pde.advection_2d ~n:6 ~velocity:(1.0, 0.5)) with
+        Pde.dims = [| 6; 9 |] };
+      Pde.fisher_kpp ~rank:1 ~n:8 ~diffusion:0.1 ~rate:2.0;
+      { (Pde.fisher_kpp ~rank:2 ~n:5 ~diffusion:0.1 ~rate:2.0) with
+        Pde.dims = [| 5; 3 |] } ]
+  in
+  let expected (p : Pde.t) y =
+    let g = Grid.create ~halo:(Pde.halo p) ~dims:p.Pde.dims () in
+    let pos = ref 0 in
+    Grid.iter_interior g ~f:(fun idx ->
+        Grid.set g idx y.(!pos);
+        incr pos);
+    Pde.apply_boundary p g;
+    let out = Array.make (Array.length y) 0.0 in
+    let pos = ref 0 in
+    Grid.iter_interior g ~f:(fun idx ->
+        out.(!pos) <- Oracle.point p.Pde.spec ~inputs:[| g |] idx;
+        incr pos);
+    out
+  in
+  Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
+  List.iter
+    (fun backend ->
+      Sweep.set_default_backend backend;
+      List.iter
+        (fun (p : Pde.t) ->
+          let ivp = Pde.to_ivp p ~t_end:1.0 in
+          let rng = Yasksite_util.Prng.create ~seed:(Hashtbl.hash p.Pde.name) in
+          for call = 1 to 2 do
+            let y =
+              Array.init ivp.Ivp.dim (fun _ ->
+                  Yasksite_util.Prng.float_range rng ~lo:(-1.0) ~hi:1.0)
+            in
+            let dydt = Array.make ivp.Ivp.dim nan in
+            ivp.Ivp.rhs ~tm:0.0 ~y ~dydt;
+            Alcotest.(check (array (float 0.0)))
+              (Printf.sprintf "%s on %s, call %d" p.Pde.name
+                 (Sweep.backend_name backend) call)
+              (expected p y) dydt
+          done)
+        problems)
+    [ Sweep.Plan_backend; Sweep.Codegen_backend ]
+
 let more_suite =
   [ Alcotest.test_case "rk validation" `Quick test_rk_validation;
     Alcotest.test_case "workspace reuse" `Quick test_workspace_reuse;
     Alcotest.test_case "pirk validation" `Quick test_pirk_validation;
-    Alcotest.test_case "advection 2d" `Quick test_advection_2d ]
+    Alcotest.test_case "advection 2d" `Quick test_advection_2d;
+    Alcotest.test_case "pde rhs bit-identical to the oracle" `Quick
+      test_rhs_matches_oracle ]
 
 let suite = base_suite @ extra_suite @ more_suite

@@ -584,13 +584,19 @@ let test_backend_of_string () =
   Alcotest.(check bool) "plan parses" true
     (Sweep.backend_of_string "plan" = Ok Sweep.Plan_backend);
   Alcotest.(check bool) "case and whitespace tolerated" true
-    (Sweep.backend_of_string " Closure " = Ok Sweep.Closure_backend);
-  match Sweep.backend_of_string "bogus" with
-  | Ok _ -> Alcotest.fail "bogus backend accepted"
-  | Error msg ->
-      let contains s = Astring_contains.contains msg s in
-      Alcotest.(check bool) "error lists the legal backends" true
-        (contains "plan" && contains "closure" && contains "bogus")
+    (Sweep.backend_of_string " Plan " = Ok Sweep.Plan_backend);
+  (* The deleted closure backend is rejected like any unknown name. *)
+  List.iter
+    (fun name ->
+      match Sweep.backend_of_string name with
+      | Ok _ -> Alcotest.failf "%S backend accepted" name
+      | Error msg ->
+          let contains s = Astring_contains.contains msg s in
+          Alcotest.(check bool)
+            (name ^ ": one-line error lists the legal backends") true
+            (contains "\"plan\"" && contains "\"codegen\"" && contains name
+            && not (contains "\n")))
+    [ " Closure "; "bogus" ]
 
 let suite =
   [ Alcotest.test_case "suite plans verify clean" `Quick

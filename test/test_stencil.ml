@@ -66,32 +66,44 @@ let test_to_c () =
   Alcotest.(check bool) "loop vars" true (Astring_contains.contains s "for (int y");
   Alcotest.(check bool) "access" true (Astring_contains.contains s "f0(y-1,x)")
 
+(* Compiling a spec means lowering it to a plan and binding the plan to
+   grids; [plan_eval] evaluates the bound plan at rank-1 points, next to
+   the test-only tree-walking oracle. *)
+let plan_eval spec ~input =
+  let out = Grid.create ~dims:(Grid.dims input) () in
+  let bound = Lower.bind (Lower.lower spec) ~inputs:[| input |] ~output:out in
+  let drv = Lower.driver bound in
+  Lower.set_row drv [||];
+  Lower.eval drv
+
 let test_compile_heat1d () =
   let spec = Spec.resolve Suite.heat_1d_3pt [ ("r", 0.25); ("c", 0.5) ] in
   let g = Grid.create ~halo:[| 1 |] ~dims:[| 5 |] () in
   Grid.fill g ~f:(fun i -> float_of_int i.(0));
   Grid.halo_dirichlet g 0.0;
-  let eval = Compile.compile1 spec ~inputs:[| g |] in
-  (* at x=2: 0.25*(1+3) + 0.5*2 = 2.0 *)
-  Alcotest.(check (float 1e-12)) "interior" 2.0 (eval 2);
-  (* at x=0: 0.25*(halo 0 + 1) + 0 = 0.25 *)
-  Alcotest.(check (float 1e-12)) "boundary" 0.25 (eval 0)
+  List.iter
+    (fun (name, eval) ->
+      (* at x=2: 0.25*(1+3) + 0.5*2 = 2.0 *)
+      Alcotest.(check (float 1e-12)) (name ^ " interior") 2.0 (eval 2);
+      (* at x=0: 0.25*(halo 0 + 1) + 0 = 0.25 *)
+      Alcotest.(check (float 1e-12)) (name ^ " boundary") 0.25 (eval 0))
+    [ ("plan", plan_eval spec ~input:g);
+      ("oracle", fun x -> Oracle.point spec ~inputs:[| g |] [| x |]) ]
 
 let test_compile_unresolved () =
   let g = Grid.create ~halo:[| 1 |] ~dims:[| 4 |] () in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Compile.compile1 Suite.heat_1d_3pt ~inputs:[| g |] : int -> float);
+       ignore (plan_eval Suite.heat_1d_3pt ~input:g : int -> float);
        false
-     with Compile.Unresolved_coefficient "c" | Compile.Unresolved_coefficient "r" ->
-       true)
+     with Lower.Unresolved_coefficient ("c" | "r") -> true)
 
 let test_compile_halo_check () =
   let g = Grid.create ~dims:[| 4 |] () in
   let spec = Spec.resolve Suite.heat_1d_3pt [ ("r", 0.25); ("c", 0.5) ] in
   Alcotest.(check bool) "halo too small" true
     (try
-       ignore (Compile.compile1 spec ~inputs:[| g |] : int -> float);
+       ignore (plan_eval spec ~input:g : int -> float);
        false
      with Invalid_argument _ -> true)
 
@@ -168,9 +180,9 @@ let test_parser_basic () =
         | Ok s -> Spec.with_expr s e
         | Error m -> Alcotest.fail m
       in
-      let eval = Compile.compile1 spec ~inputs:[| g |] in
       (* at x=2: 0.25*(1+3) + 0.5*2 = 2.0 *)
-      Alcotest.(check (float 1e-12)) "evaluates" 2.0 (eval 2)
+      Alcotest.(check (float 1e-12)) "evaluates" 2.0
+        (Oracle.point spec ~inputs:[| g |] [| 2 |])
 
 let test_parser_coefficients () =
   match Parser.parse_expr ~rank:2 "r * f0(y-1,x) + c * f0(y,x)" with
