@@ -1729,7 +1729,7 @@ let e20 () =
 (* E21 — ECM-ranked stage fusion for stencil programs. The 16-stage
    hdiff pipeline is run under a spread of fuse/materialize partitions:
    host wall clock of fused vs fully-materialized execution (plan
-   backend, outputs asserted bit-identical), and — on both shipped
+   backend, sequential, outputs asserted bit-identical), and — on both shipped
    machine files, at the usual 1/8 simulation scale — the agreement
    between the ECM-predicted partition ranking and rankings measured
    on the simulated machine. Writes bench/BENCH_fusion.json. *)
@@ -1772,28 +1772,6 @@ let e21 () =
       done
     done;
     !acc
-  in
-  (* Host wall clock of a whole program run (intermediate allocation
-     included — that is the cost materialization actually pays), plan
-     backend, warm-up plus best-of-3. *)
-  let wall_memo = Hashtbl.create 8 in
-  let wall inline =
-    match Hashtbl.find_opt wall_memo (key inline) with
-    | Some r -> r
-    | None ->
-        let fp = P.fuse p ~inline in
-        let space, inputs = fresh_inputs () in
-        let run () = Prog.run ~config ~space fp ~inputs in
-        let r0 = run () in
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          let (_ : Prog.result), s = time run in
-          if s < !best then best := s
-        done;
-        let sums = List.map (fun (n, g) -> (n, checksum g)) r0.Prog.outputs in
-        let res = (!best, sums) in
-        Hashtbl.replace wall_memo (key inline) res;
-        res
   in
   (* Measured partition time on the simulated machine: one cachesim
      measurement per stage at its extended extent, summed. Memoized by
@@ -1921,22 +1899,67 @@ let e21 () =
            b.Advisor.inline)
          per_machine))
   in
-  let wall_rows = List.map (fun inline -> (inline, wall inline)) wall_cands in
-  let _, (unfused_wall, ref_sums) =
-    List.find (fun (i, _) -> i = []) wall_rows
+  (* Host wall clock of a whole program run (intermediate allocation
+     included — that is the cost materialization actually pays), plan
+     backend, sequential. The host's speed drifts between runs, so the
+     partitions run round-robin, [rounds] timed rounds after one
+     warm-up run each, and each speedup is the median over rounds of the
+     unfused run's time over the partition's time in the same round. *)
+  let rounds = 9 in
+  let runs =
+    List.map
+      (fun inline ->
+        let fp = P.fuse p ~inline in
+        let space, inputs = fresh_inputs () in
+        let run () = Prog.run ~config ~space fp ~inputs in
+        let r0 = run () in
+        (inline, run, List.map (fun (n, g) -> (n, checksum g)) r0.Prog.outputs))
+      wall_cands
+  in
+  let times = Array.make_matrix (List.length runs) rounds 0.0 in
+  for k = 0 to rounds - 1 do
+    List.iteri
+      (fun i (_, run, _) ->
+        let (_ : Prog.result), s = time run in
+        times.(i).(k) <- s)
+      runs
+  done;
+  let unfused =
+    match List.find_index (fun (i, _, _) -> i = []) runs with
+    | Some i -> times.(i)
+    | None -> failwith "unfused partition missing"
+  in
+  let wall_rows =
+    List.mapi
+      (fun i (inline, _, sums) ->
+        let ts = times.(i) in
+        ( inline,
+          Stats.median ts,
+          Stats.mad ts,
+          Stats.median (Array.mapi (fun k t -> unfused.(k) /. t) ts),
+          sums ))
+      runs
+  in
+  let _, _, _, _, ref_sums =
+    List.find (fun (i, _, _, _, _) -> i = []) wall_rows
   in
   let bit_identical =
-    List.for_all (fun (_, (_, sums)) -> sums = ref_sums) wall_rows
+    List.for_all (fun (_, _, _, _, sums) -> sums = ref_sums) wall_rows
   in
   Printf.printf
     "\n\
-     host wall clock (plan backend, best of 3; the host interpreter is\n\
-     compute-bound, so recomputation costs dominate here — the simulated\n\
-     machine above is where the memory-traffic trade-off plays out):\n";
+     host wall clock (plan backend, sequential, median and MAD of %d \
+     interleaved rounds;\n\
+     at %dx%d every intermediate fits in the host's caches, so this \
+     measures the\n\
+     interpreter and allocation cost of each partition — the \
+     memory-traffic trade-off\n\
+     plays out on the simulated machines above):\n"
+    rounds dims.(0) dims.(1);
   List.iter
-    (fun (inline, (s, _)) ->
-      Printf.printf "  %8.4f ms  %5.2fx vs unfused  %s\n" (1e3 *. s)
-        (unfused_wall /. s) (label inline))
+    (fun (inline, med, mad, speedup, _) ->
+      Printf.printf "  %8.4f ms (MAD %.4f)  %5.2fx vs unfused  %s\n"
+        (1e3 *. med) (1e3 *. mad) speedup (label inline))
     wall_rows;
   Printf.printf "outputs across partitions: %s\n"
     (if bit_identical then "bit-identical" else "DIFFER");
@@ -1979,11 +2002,11 @@ let e21 () =
         (strs best.Advisor.inline) best.Advisor.time meas_best
         (meas_unfused /. meas_best)
     in
-    let wall_json (inline, (s, _)) =
+    let wall_json (inline, med, mad, speedup, _) =
       Printf.sprintf
-        "      {\"inline\": [%s], \"seconds\": %.6f, \
+        "      {\"inline\": [%s], \"seconds\": %.6f, \"mad_s\": %.6f, \
          \"speedup_vs_unfused\": %.3f}"
-        (strs inline) s (unfused_wall /. s)
+        (strs inline) med mad speedup
     in
     Printf.sprintf
       "{\n\
@@ -1993,16 +2016,21 @@ let e21 () =
       \  \"machines\": [\n%s\n  ],\n\
       \  \"wall_clock\": {\n\
       \    \"backend\": \"plan\",\n\
-      \    \"note\": \"host interpreter is compute-bound: recomputation \
-       dominates wall clock; the memory-traffic trade-off is measured on \
-       the simulated machines above\",\n\
+      \    \"clock\": \"host, sequential\",\n\
+      \    \"rounds\": %d,\n\
+      \    \"note\": \"seconds: median of interleaved rounds; \
+       speedup_vs_unfused: median per-round ratio. Every intermediate \
+       fits in the host's caches at this size, so these rows measure the \
+       interpreter and allocation cost of each partition, not DRAM \
+       traffic; the memory-traffic trade-off is measured on the simulated \
+       machines above\",\n\
       \    \"bit_identical\": %b,\n\
       \    \"runs\": [\n%s\n    ]\n\
       \  }\n\
        }\n"
       (ints dims)
       (String.concat ",\n" (List.map machine_json per_machine))
-      bit_identical
+      rounds bit_identical
       (String.concat ",\n" (List.map wall_json wall_rows))
   in
   Out_channel.with_open_text "bench/BENCH_fusion.json" (fun oc ->

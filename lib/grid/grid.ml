@@ -149,14 +149,33 @@ let unit_stride t =
   | Linear -> true
   | Folded _ -> t.fold.(rank t - 1) = t.lanes
 
+(* Unit-stride tables are the identity, so rows up to [shared_max]
+   long share one grow-only table instead of allocating per call. Every
+   binding asks for tables, and a fresh 8 KiB table per 1024-column grid
+   and binding lands in the malloc hole a just-freed grid left behind,
+   so the next grid of that size no longer fits there and the heap
+   grows. A racing grow only replaces one identity table by another. *)
+let shared_max = 1 lsl 16
+
+let identity = Atomic.make [||]
+
+let identity_table n =
+  let t = Atomic.get identity in
+  if Array.length t >= n then t
+  else begin
+    let t = Array.init (min shared_max (max n (2 * Array.length t))) Fun.id in
+    Atomic.set identity t;
+    t
+  end
+
 let last_dim_offsets t =
   let last = rank t - 1 in
   let n = t.padded.(last) in
-  match t.layout with
-  | Linear -> Array.init n (fun c -> c)
-  | Folded _ ->
-      let f = t.fold.(last) in
-      Array.init n (fun c -> (c / f * t.lanes) + (c mod f))
+  if unit_stride t then
+    if n <= shared_max then identity_table n else Array.init n Fun.id
+  else
+    let f = t.fold.(last) in
+    Array.init n (fun c -> (c / f * t.lanes) + (c mod f))
 
 let row_base t idx =
   let r = rank t in

@@ -98,7 +98,9 @@ val last_dim_offsets : t -> int array
 (** The separable last-dimension contribution to the flat offset: entry
     [c] (a {e padded} last-dimension coordinate, [0 <= c < padded last
     extent]) is the offset added to {!row_base} for that column. The
-    identity table for unit-stride layouts. *)
+    identity table for unit-stride layouts; that one may be shared
+    between grids and longer than the padded extent, so read only the
+    entries below it and never write. *)
 
 val row_base : t -> int array -> int
 (** [row_base g outer] is the flat offset of the row selected by the

@@ -1,9 +1,9 @@
 (* Plan-IR dataflow verifier: the YS5xx rule family.
 
    The flat kernel plan is the last IR before execution, and the engine
-   runs it with *unchecked* table indexing and an *unchecked* stack
-   (Lower's drivers use unsafe accesses throughout) — so every safety
-   property the driver assumes is proved here, by abstract
+   runs it with *unchecked* table indexing (Lower's drivers use unsafe
+   accesses throughout) — so every safety property the driver assumes
+   is proved here, by abstract
    interpretation over the plan body, before a certificate lets the
    engine skip its per-point shadow checks:
 
@@ -15,9 +15,9 @@
      reduces to per-dimension |offset| <= halo, because the left pad
      covers exactly the halo (YS501);
    - postfix programs are stack-safe: no pop of an empty stack, the
-     declared [depth] (which sizes the driver's unchecked scratch
-     stack) is exactly the measured maximum (YS502), and exactly one
-     value remains as the result (YS505);
+     declared [depth] (which bounds the stack of the bind-time tape
+     builder, {!Lower.bind}) is exactly the measured maximum (YS502),
+     and exactly one value remains as the result (YS505);
    - dead loads (YS503), duplicate access-table entries (YS504),
      unresolved symbolic coefficients (YS506), statically reachable
      division by a provably-zero operand (YS507) and provably-zero
@@ -257,7 +257,7 @@ let structure (plan : Plan.t) =
           add
             (D.errorf ~code:"YS502"
                "instruction %d pops an empty stack (underflow): the \
-                driver's unchecked stack would read garbage"
+                program has no tape to bind"
                i)
       | None ->
           if r.final = 0 then
@@ -275,8 +275,8 @@ let structure (plan : Plan.t) =
             add
               (D.errorf ~code:"YS502"
                  "declared stack depth %d but the program's measured \
-                  maximum is %d: the driver sizes its unchecked stack \
-                  from the declaration"
+                  maximum is %d: the tape builder's stack is bounded by \
+                  the declaration"
                  depth r.max_depth);
           ds := List.rev_append (const_rules code) !ds));
   for s = 0 to n - 1 do

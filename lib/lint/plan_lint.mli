@@ -12,8 +12,8 @@
       dimension; extent-independent, so the verdict transfers across
       problem sizes);
     - YS502 postfix programs are stack-safe: no underflow, and the
-      declared depth (which sizes the driver's unchecked stack) equals
-      the measured maximum;
+      declared depth (which bounds the bind-time tape builder's stack)
+      equals the measured maximum;
     - YS503 dead loads, YS504 duplicate access-table entries;
     - YS505 the program leaves exactly one result on the stack (dead
       or missing computation otherwise);

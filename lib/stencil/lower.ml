@@ -207,6 +207,114 @@ let check (plan : Plan.t) ~inputs ~output =
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(* ---- the value-numbered tape ----
+
+   A postfix program replays its expression tree verbatim, so once
+   [Program.fuse] has substituted producers at shifted offsets the same
+   subterm appears many times over. [tape_of] value-numbers the code
+   once per bind: every distinct constant, load slot and
+   (operator, operand ids) node gets one register, in first-use order,
+   so operands always precede their users. Matching is structural only
+   — nothing is commuted, reassociated or simplified (x86 propagates
+   the first operand's NaN payload), and constants are keyed by their
+   bit pattern, so [0.0]/[-0.0] and distinct NaN payloads never merge.
+   Every register therefore holds exactly the bits the tree computes
+   for its subterm.
+
+   Each driver owns one [strip]-lane [float array] per register:
+   [store_row] runs every node over a whole strip of the row before the
+   next node, and [eval] runs the same tape on lane 0. A register is
+   small enough for the minor heap, so making a driver never goes to
+   [malloc] (a driver-sized block would, and would land in the hole a
+   freed grid left, so the next grid could not reuse it). *)
+
+let strip = 64
+
+type op = Neg | Add | Sub | Mul | Div | Min | Max | Sel
+
+(* One operator node: [dst <- op x y z] over register ids; [y] and [z]
+   are [-1] where the operator takes fewer operands ([Sel]'s are
+   condition, then-value, else-value). *)
+type node = { op : op; dst : int; x : int; y : int; z : int }
+
+type tape = {
+  n_regs : int;
+  consts : (int * float) array;  (* register, value *)
+  loads : (int * int) array;  (* register, access-table slot *)
+  nodes : node array;  (* operands first *)
+  result : int;
+}
+
+type key = KConst of int64 | KLoad of int | KNode of op * int * int * int
+
+(* Total on arbitrary code: a malformed program (underflow, a push past
+   the declared [depth], a slot outside the access table, or anything
+   but one value left at the end) is refused with [Invalid_argument]. *)
+let tape_of ~n_slots code depth =
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Lower: " ^ m)) fmt in
+  let ids = Hashtbl.create 64 in
+  let n_regs = ref 0 in
+  let consts = ref [] and loads = ref [] and nodes = ref [] in
+  let intern key =
+    match Hashtbl.find_opt ids key with
+    | Some r -> r
+    | None ->
+        let r = !n_regs in
+        incr n_regs;
+        Hashtbl.add ids key r;
+        (match key with
+        | KConst bits -> consts := (r, Int64.float_of_bits bits) :: !consts
+        | KLoad s -> loads := (r, s) :: !loads
+        | KNode (op, x, y, z) -> nodes := { op; dst = r; x; y; z } :: !nodes);
+        r
+  in
+  let stack = Array.make (max 0 depth) 0 and sp = ref 0 in
+  let push i r =
+    if !sp >= depth then
+      fail "postfix instruction %d exceeds the declared stack depth %d" i
+        depth;
+    stack.(!sp) <- r;
+    incr sp
+  in
+  let pop i =
+    if !sp = 0 then fail "postfix stack underflow at instruction %d" i;
+    decr sp;
+    stack.(!sp)
+  in
+  let node i op arity =
+    let z = if arity = 3 then pop i else -1 in
+    let y = if arity >= 2 then pop i else -1 in
+    let x = pop i in
+    push i (intern (KNode (op, x, y, z)))
+  in
+  Array.iteri
+    (fun i (ins : Plan.instr) ->
+      match ins with
+      | Push c -> push i (intern (KConst (Int64.bits_of_float c)))
+      | Load s ->
+          if s < 0 || s >= n_slots then
+            fail "postfix instruction %d loads slot %d of a %d-entry table" i
+              s n_slots;
+          push i (intern (KLoad s))
+      | Sym n -> raise (Unresolved_coefficient n)
+      | Neg -> node i Neg 1
+      | Add -> node i Add 2
+      | Sub -> node i Sub 2
+      | Mul -> node i Mul 2
+      | Div -> node i Div 2
+      | Min -> node i Min 2
+      | Max -> node i Max 2
+      | Sel -> node i Sel 3)
+    code;
+  if !sp <> 1 then
+    fail "postfix program leaves %d values on the stack instead of 1" !sp;
+  let arr l = Array.of_list (List.rev l) in
+  { n_regs = !n_regs;
+    consts = arr !consts;
+    loads = arr !loads;
+    nodes = arr !nodes;
+    result = stack.(0) }
+
 type bbody =
   | BGroups of {
       goff : int array;  (* group g owns terms [goff.(g), goff.(g+1)) *)
@@ -215,7 +323,7 @@ type bbody =
       t_coeff : float array;
       t_slot : int array;
     }
-  | BProgram of { code : Plan.instr array; depth : int }
+  | BTape of tape
 
 type bound = {
   plan : Plan.t;
@@ -261,14 +369,12 @@ let flatten gs =
 
 let bind (plan : Plan.t) ~inputs ~output =
   check plan ~inputs ~output;
-  (match plan.Plan.body with
-  | Plan.Program { code; _ } ->
-      Array.iter
-        (function
-          | Plan.Sym n -> raise (Unresolved_coefficient n)
-          | _ -> ())
-        code
-  | Plan.Groups _ -> ());
+  let bbody =
+    match plan.Plan.body with
+    | Plan.Groups gs -> flatten gs
+    | Plan.Program { code; depth } ->
+        BTape (tape_of ~n_slots:(Plan.n_slots plan) code depth)
+  in
   let r = plan.Plan.rank in
   let field_tab = Array.map Grid.last_dim_offsets inputs in
   let field_lp = Array.map (fun g -> (Grid.left_pad g).(r - 1)) inputs in
@@ -291,10 +397,7 @@ let bind (plan : Plan.t) ~inputs ~output =
     out_lp = (Grid.left_pad output).(r - 1);
     out_unit = Grid.unit_stride output;
     out_base = Grid.base_address output;
-    bbody =
-      (match plan.Plan.body with
-      | Plan.Groups gs -> flatten gs
-      | Plan.Program { code; depth } -> BProgram { code; depth }) }
+    bbody }
 
 let plan_of b = b.plan
 
@@ -320,18 +423,23 @@ type driver = {
   row : int array;  (* per-slot row base, set by {!set_row} *)
   mutable out_row : int;
   oc : int array;  (* rank-1 coordinate scratch *)
-  stack : float array;
+  regs : float array array;  (* the tape's registers, [strip] lanes each *)
 }
 
 let driver b =
-  let depth =
-    match b.bbody with BProgram { depth; _ } -> depth | BGroups _ -> 0
+  let regs =
+    match b.bbody with
+    | BGroups _ -> [||]
+    | BTape t ->
+        let regs = Array.init t.n_regs (fun _ -> Array.make strip 0.0) in
+        Array.iter (fun (r, c) -> Array.fill regs.(r) 0 strip c) t.consts;
+        regs
   in
   { b;
     row = Array.make (max 1 (Array.length b.slot_grid)) 0;
     out_row = 0;
     oc = Array.make (max 0 (b.plan.Plan.rank - 1)) 0;
-    stack = Array.make (max 1 depth) 0.0 }
+    regs }
 
 let set_row drv outer =
   let b = drv.b in
@@ -352,7 +460,8 @@ let driver_out_row drv = drv.out_row
 (* No bounds checks below: for regions inside the iteration space every
    table index [x + shift] lies in [0, padded last extent) because the
    left pad covers the halo — callers gate illegal regions via [check]
-   or trap them via the sanitizer before evaluation. *)
+   or trap them via the sanitizer before evaluation. Register ids are
+   in range by construction of the tape. *)
 
 let term_val b row t_coeff t_slot t x =
   let s = Array.unsafe_get t_slot t in
@@ -387,69 +496,80 @@ let point_groups b row goff scaled gscale t_coeff t_slot x =
   done;
   !acc
 
-let point_program b row stack code x =
-  let sp = ref 0 in
-  for i = 0 to Array.length code - 1 do
-    match Array.unsafe_get code i with
-    | Plan.Push c ->
-        Array.unsafe_set stack !sp c;
-        incr sp
-    | Plan.Load s ->
-        Array.unsafe_set stack !sp
-          (Bigarray.Array1.unsafe_get
-             (Array.unsafe_get b.slot_data s)
-             (Array.unsafe_get row s
-             + Array.unsafe_get
-                 (Array.unsafe_get b.slot_tab s)
-                 (x + Array.unsafe_get b.slot_shift s)));
-        incr sp
-    | Plan.Sym _ -> assert false (* refused at bind time *)
-    | Plan.Neg ->
-        Array.unsafe_set stack (!sp - 1)
-          (-.Array.unsafe_get stack (!sp - 1))
-    | Plan.Add ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Array.unsafe_get stack (!sp - 1) +. Array.unsafe_get stack !sp)
-    | Plan.Sub ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Array.unsafe_get stack (!sp - 1) -. Array.unsafe_get stack !sp)
-    | Plan.Mul ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Array.unsafe_get stack (!sp - 1) *. Array.unsafe_get stack !sp)
-    | Plan.Div ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Array.unsafe_get stack (!sp - 1) /. Array.unsafe_get stack !sp)
-    | Plan.Min ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Float.min
-             (Array.unsafe_get stack (!sp - 1))
-             (Array.unsafe_get stack !sp))
-    | Plan.Max ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Float.max
-             (Array.unsafe_get stack (!sp - 1))
-             (Array.unsafe_get stack !sp))
-    | Plan.Sel ->
-        sp := !sp - 2;
-        Array.unsafe_set stack (!sp - 1)
-          (if Array.unsafe_get stack (!sp - 1) > 0.0 then
-             Array.unsafe_get stack !sp
-           else Array.unsafe_get stack (!sp + 1))
+(* Run the tape over lanes [0, n) for the points [x0, x0 + n) of the
+   current row: every load, then every node, each over the whole strip. *)
+let run_strip b t (regs : float array array) row x0 n =
+  for i = 0 to Array.length t.loads - 1 do
+    let d, s = Array.unsafe_get t.loads i in
+    let r = Array.unsafe_get regs d
+    and data = Array.unsafe_get b.slot_data s
+    and tab = Array.unsafe_get b.slot_tab s
+    and base = Array.unsafe_get row s
+    and sh = x0 + Array.unsafe_get b.slot_shift s in
+    for k = 0 to n - 1 do
+      Array.unsafe_set r k
+        (Bigarray.Array1.unsafe_get data (base + Array.unsafe_get tab (sh + k)))
+    done
   done;
-  Array.unsafe_get stack 0
+  for i = 0 to Array.length t.nodes - 1 do
+    let nd = Array.unsafe_get t.nodes i in
+    let r = Array.unsafe_get regs nd.dst
+    and x = Array.unsafe_get regs nd.x in
+    match nd.op with
+    | Neg ->
+        for k = 0 to n - 1 do
+          Array.unsafe_set r k (-.Array.unsafe_get x k)
+        done
+    | Add ->
+        let y = Array.unsafe_get regs nd.y in
+        for k = 0 to n - 1 do
+          Array.unsafe_set r k (Array.unsafe_get x k +. Array.unsafe_get y k)
+        done
+    | Sub ->
+        let y = Array.unsafe_get regs nd.y in
+        for k = 0 to n - 1 do
+          Array.unsafe_set r k (Array.unsafe_get x k -. Array.unsafe_get y k)
+        done
+    | Mul ->
+        let y = Array.unsafe_get regs nd.y in
+        for k = 0 to n - 1 do
+          Array.unsafe_set r k (Array.unsafe_get x k *. Array.unsafe_get y k)
+        done
+    | Div ->
+        let y = Array.unsafe_get regs nd.y in
+        for k = 0 to n - 1 do
+          Array.unsafe_set r k (Array.unsafe_get x k /. Array.unsafe_get y k)
+        done
+    | Min ->
+        let y = Array.unsafe_get regs nd.y in
+        for k = 0 to n - 1 do
+          Array.unsafe_set r k
+            (Float.min (Array.unsafe_get x k) (Array.unsafe_get y k))
+        done
+    | Max ->
+        let y = Array.unsafe_get regs nd.y in
+        for k = 0 to n - 1 do
+          Array.unsafe_set r k
+            (Float.max (Array.unsafe_get x k) (Array.unsafe_get y k))
+        done
+    | Sel ->
+        let y = Array.unsafe_get regs nd.y
+        and z = Array.unsafe_get regs nd.z in
+        for k = 0 to n - 1 do
+          Array.unsafe_set r k
+            (if Array.unsafe_get x k > 0.0 then Array.unsafe_get y k
+             else Array.unsafe_get z k)
+        done
+  done
 
 let eval drv x =
   let b = drv.b in
   match b.bbody with
   | BGroups { goff; scaled; gscale; t_coeff; t_slot } ->
       point_groups b drv.row goff scaled gscale t_coeff t_slot x
-  | BProgram { code; _ } -> point_program b drv.row drv.stack code x
+  | BTape t ->
+      run_strip b t drv.regs drv.row x 1;
+      Array.unsafe_get (Array.unsafe_get drv.regs t.result) 0
 
 let out_offset drv x =
   drv.out_row + Array.unsafe_get drv.b.out_tab (x + drv.b.out_lp)
@@ -483,19 +603,27 @@ let store_row drv xb xe =
             (drv.out_row + Array.unsafe_get b.out_tab (x + b.out_lp))
             (point_groups b row goff scaled gscale t_coeff t_slot x)
         done
-  | BProgram { code; _ } ->
-      let stack = drv.stack in
-      if b.out_unit then begin
-        let off = ref (drv.out_row + b.out_lp + xb) in
-        for x = xb to xe - 1 do
-          Bigarray.Array1.unsafe_set b.out_data !off
-            (point_program b row stack code x);
-          incr off
-        done
-      end
-      else
-        for x = xb to xe - 1 do
-          Bigarray.Array1.unsafe_set b.out_data
-            (drv.out_row + Array.unsafe_get b.out_tab (x + b.out_lp))
-            (point_program b row stack code x)
-        done
+  | BTape t ->
+      let regs = drv.regs in
+      let res = regs.(t.result) in
+      let x0 = ref xb in
+      while !x0 < xe do
+        let n = min strip (xe - !x0) in
+        run_strip b t regs row !x0 n;
+        if b.out_unit then begin
+          let off = drv.out_row + b.out_lp + !x0 in
+          for k = 0 to n - 1 do
+            Bigarray.Array1.unsafe_set b.out_data (off + k)
+              (Array.unsafe_get res k)
+          done
+        end
+        else begin
+          let o = !x0 + b.out_lp in
+          for k = 0 to n - 1 do
+            Bigarray.Array1.unsafe_set b.out_data
+              (drv.out_row + Array.unsafe_get b.out_tab (o + k))
+              (Array.unsafe_get res k)
+          done
+        end;
+        x0 := !x0 + n
+      done

@@ -5,9 +5,14 @@
     value-preserving down to the bit for the engine's finite data).
     [bind] specialises a plan to concrete grids: per-access row-base
     tables and last-dimension offset tables, so the engine's inner loop
-    runs without per-point closure dispatch. A [bound] is immutable and
-    can be shared across pool slices; each slice allocates its own
-    {!driver} for mutable scratch. *)
+    runs without per-point closure dispatch. A postfix body is
+    value-numbered into a tape at bind time: every distinct constant
+    (by bit pattern), load and (operator, operands) node is computed
+    once per point, in the tree's own operation order, so the shared
+    subterms that stage fusion substitutes at shifted offsets are not
+    recomputed and results stay bit-identical to the tree. A [bound] is
+    immutable and can be shared across pool slices; each slice
+    allocates its own {!driver} for mutable scratch. *)
 
 val lower : Spec.t -> Plan.t
 (** Lower a spec (resolved or not — unresolved coefficients become
@@ -39,7 +44,11 @@ val bind :
   Plan.t -> inputs:Yasksite_grid.Grid.t array ->
   output:Yasksite_grid.Grid.t -> bound
 (** {!check}, refuse unresolved plans ({!Unresolved_coefficient}),
-    then precompute the addressing tables. *)
+    then precompute the addressing tables and build the tape of a
+    postfix body. A malformed postfix body (stack underflow, a push past
+    its declared depth, a slot outside the access table, or anything
+    but exactly one value left) raises [Invalid_argument] with a
+    ["Lower: ..."] message. *)
 
 val plan_of : bound -> Plan.t
 
@@ -59,8 +68,9 @@ val raw_of : bound -> raw
 
 type driver
 (** Per-region mutable scratch over a shared {!bound} (slot row bases,
-    coordinate scratch, the postfix stack). Not thread-safe; allocate
-    one per concurrent region. *)
+    coordinate scratch, the tape's registers: one strip of lanes per
+    distinct value, constants filled once here). Not thread-safe;
+    allocate one per concurrent region. *)
 
 val driver : bound -> driver
 
@@ -77,8 +87,9 @@ val driver_out_row : driver -> int
 (** The output row base of the row selected by the last {!set_row}. *)
 
 val eval : driver -> int -> float
-(** Value at last-dimension coordinate [x] of the current row. No
-    bounds checks — see {!store_row}. *)
+(** Value at last-dimension coordinate [x] of the current row: the
+    tape run on a single lane, allocating nothing per node (the traced
+    and sanitized paths). No bounds checks — see {!store_row}. *)
 
 val out_offset : driver -> int -> int
 (** Flat element offset of the output point at [x]. *)
@@ -92,8 +103,11 @@ val read_addr : driver -> int -> int -> int
 
 val store_row : driver -> int -> int -> unit
 (** [store_row drv xb xe]: evaluate and store every point of the
-    current row with [xb <= x < xe] — the untraced hot path: one
-    monomorphic loop, row bases hoisted, the output index advanced
-    incrementally on unit-stride layouts. No bounds checks: the caller
-    must have gated the region (legal interior regions are always safe
-    because grid left padding covers the halo). *)
+    current row with [xb <= x < xe] — the untraced hot path, row bases
+    hoisted. A postfix body runs strip by strip: each tape node over a
+    fixed-length strip of the row before the next node, then the strip
+    is stored; an FMA-chain body runs one monomorphic loop per point.
+    The output index advances incrementally on unit-stride layouts. No
+    bounds checks: the caller must have gated the region (legal
+    interior regions are always safe because grid left padding covers
+    the halo). *)

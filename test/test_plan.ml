@@ -16,6 +16,7 @@ module Analysis = Yasksite_stencil.Analysis
 module Suite = Yasksite_stencil.Suite
 module Gen = Yasksite_stencil.Gen
 module Dsl = Yasksite_stencil.Dsl
+module Expr = Yasksite_stencil.Expr
 module Plan = Yasksite_stencil.Plan
 module Lower = Yasksite_stencil.Lower
 module Config = Yasksite_ecm.Config
@@ -143,6 +144,181 @@ let traced_backend_parity =
     QCheck.small_int (fun seed -> traced_matches_oracle ~seed)
 
 (* ------------------------------------------------------------------ *)
+(* The value-numbered tape behind Program bodies.                      *)
+
+(* The strip length the interpreter batches rows into; row lengths of
+   1, below it, exactly it and past it (never a multiple) are drawn. *)
+let strip = 64
+
+let same_bits a b =
+  let ok = ref true in
+  Grid.iter_interior a ~f:(fun idx ->
+      if
+        not
+          (Int64.equal
+             (Int64.bits_of_float (Grid.get a idx))
+             (Int64.bits_of_float (Grid.get b idx)))
+      then ok := false);
+  !ok
+
+(* A random expression shaped like [Program.fuse] output: a few
+   producer subtrees, each substituted at shifted offsets, so equal
+   subterms recur (at least one use appears twice verbatim) and value
+   numbering has work to do. Every operator is drawn, division included:
+   infinities and NaNs must reproduce to the bit as well. *)
+let fused_expr rng ~rank ~n_fields =
+  let off () = Array.init rank (fun _ -> Prng.int rng ~bound:3 - 1) in
+  let leaf () =
+    if Prng.int rng ~bound:4 = 0 then
+      Expr.Const (Prng.float_range rng ~lo:(-2.0) ~hi:2.0)
+    else Expr.Ref { field = Prng.int rng ~bound:n_fields; offsets = off () }
+  in
+  let rec tree d =
+    if d = 0 then leaf ()
+    else begin
+      let a = tree (d - 1) in
+      let b = tree (d - 1) in
+      match Prng.int rng ~bound:8 with
+      | 0 -> Expr.Neg a
+      | 1 -> Expr.Add (a, b)
+      | 2 -> Expr.Sub (a, b)
+      | 3 -> Expr.Mul (a, b)
+      | 4 -> Expr.Div (a, b)
+      | 5 -> Expr.Min (a, b)
+      | 6 -> Expr.Max (a, b)
+      | _ -> Expr.Select (a, b, tree (d - 1))
+    end
+  in
+  let producers =
+    Array.init (1 + Prng.int rng ~bound:3) (fun _ ->
+        tree (1 + Prng.int rng ~bound:3))
+  in
+  let use () =
+    let p = producers.(Prng.int rng ~bound:(Array.length producers)) in
+    let o = off () in
+    Expr.map_accesses
+      (fun a -> { a with Expr.offsets = Array.map2 ( + ) a.Expr.offsets o })
+      p
+  in
+  let rec consumer d =
+    if d = 0 then use ()
+    else begin
+      let a = consumer (d - 1) in
+      let b = consumer (d - 1) in
+      match Prng.int rng ~bound:4 with
+      | 0 -> Expr.Add (a, b)
+      | 1 -> Expr.Sub (a, b)
+      | 2 -> Expr.Mul (a, b)
+      | _ -> Expr.Select (a, b, use ())
+    end
+  in
+  let twice = use () in
+  let centre = Expr.Ref { field = 0; offsets = Array.make rank 0 } in
+  (* The division by 1.0 keeps the body a postfix program. *)
+  Expr.Div
+    ( Expr.Add (Expr.Add (consumer (1 + Prng.int rng ~bound:2), centre),
+        Expr.Mul (twice, twice)),
+      Expr.Const 1.0 )
+
+let tape_matches_oracle ~seed =
+  let rng = Prng.create ~seed in
+  let rank = 1 + Prng.int rng ~bound:3 in
+  let n_fields = 1 + Prng.int rng ~bound:2 in
+  let spec =
+    Spec.v ~name:"fused" ~rank ~n_fields (fused_expr rng ~rank ~n_fields)
+  in
+  let halo = Analysis.halo (Analysis.of_spec spec) in
+  let dims =
+    Array.init rank (fun i ->
+        if i < rank - 1 then 1 + Prng.int rng ~bound:4
+        else
+          match Prng.int rng ~bound:4 with
+          | 0 -> 1
+          | 1 -> 2 + Prng.int rng ~bound:(strip - 2)
+          | 2 -> strip
+          | _ -> strip + 1 + Prng.int rng ~bound:(strip - 2))
+  in
+  let layout =
+    if Prng.bool rng then Grid.Linear
+    else begin
+      let f = Array.make rank 1 in
+      f.(rank - 1) <- 2;
+      if rank > 1 then f.(rank - 2) <- 2;
+      Grid.Folded f
+    end
+  in
+  let fold = match layout with Grid.Folded f -> Some f | _ -> None in
+  let block =
+    if Prng.bool rng then begin
+      let b = Array.map (fun d -> 1 + Prng.int rng ~bound:d) dims in
+      if rank > 1 then b.(0) <- 0;
+      Some b
+    end
+    else None
+  in
+  let cfg = Config.v ?fold ?block () in
+  let inputs =
+    Array.init n_fields (fun i -> make_grid ~layout ~halo ~dims (seed + i))
+  in
+  let expected = Grid.create ~halo ~layout ~dims () in
+  Oracle.sweep spec ~inputs ~output:expected;
+  let rows = Grid.create ~halo ~layout ~dims () in
+  ignore
+    (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg spec ~inputs
+       ~output:rows);
+  let points = Grid.create ~halo ~layout ~dims () in
+  ignore
+    (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg
+       ~trace:(Hierarchy.create Machine.test_chip) spec ~inputs ~output:points);
+  same_bits rows expected && same_bits points expected
+
+let tape_property =
+  QCheck.Test.make
+    ~name:"tape: row strips and traced points bit-reproduce the oracle"
+    ~count:150 QCheck.small_int (fun seed -> tape_matches_oracle ~seed)
+
+(* Constants are numbered by bit pattern: [0.0] and [-0.0], and two NaNs
+   with different payloads, are distinct registers. Merging either pair
+   would make both select arms produce the same bits. *)
+let test_tape_constant_bits () =
+  let nan1 = Int64.float_of_bits 0x7FF8000000000001L
+  and nan2 = Int64.float_of_bits 0x7FF8000000000002L in
+  let n = strip + 6 in
+  let g = Grid.create ~halo:[| 1 |] ~dims:[| n |] () in
+  Grid.fill g ~f:(fun idx -> if idx.(0) mod 3 = 0 then 1.0 else -1.0);
+  let cond = Expr.Ref { field = 0; offsets = [| 0 |] } in
+  List.iter
+    (fun (name, a, b) ->
+      let spec =
+        Spec.v ~name ~rank:1 (Expr.Select (cond, Expr.Const a, Expr.Const b))
+      in
+      let bits x = Int64.bits_of_float x in
+      let check_grid how o =
+        Grid.iter_interior o ~f:(fun idx ->
+            let want = if idx.(0) mod 3 = 0 then a else b in
+            Alcotest.(check int64)
+              (Printf.sprintf "%s, %s, x=%d" name how idx.(0))
+              (bits want)
+              (bits (Grid.get o idx)))
+      in
+      let rows = Grid.create ~halo:[| 1 |] ~dims:[| n |] () in
+      ignore
+        (Sweep.run ~backend:Sweep.Plan_backend spec ~inputs:[| g |]
+           ~output:rows);
+      check_grid "row strips" rows;
+      let points = Grid.create ~halo:[| 1 |] ~dims:[| n |] () in
+      ignore
+        (Sweep.run ~backend:Sweep.Plan_backend
+           ~trace:(Hierarchy.create Machine.test_chip) spec ~inputs:[| g |]
+           ~output:points);
+      check_grid "traced points" points;
+      let expected = Grid.create ~halo:[| 1 |] ~dims:[| n |] () in
+      Oracle.sweep spec ~inputs:[| g |] ~output:expected;
+      Alcotest.(check bool) (name ^ ": oracle agrees") true
+        (same_bits rows expected))
+    [ ("signed zeros", 0.0, -0.0); ("NaN payloads", nan1, nan2) ]
+
+(* ------------------------------------------------------------------ *)
 (* Plan structure and fingerprints.                                    *)
 
 let heat2 = Suite.resolve_defaults Suite.heat_2d_5pt
@@ -256,6 +432,34 @@ let test_check_halo () =
           Sweep.run ~backend ~check:false wide1 ~inputs:[| thin |] ~output:o))
     backends
 
+(* Building the tape is total: a malformed postfix body is refused by
+   [Lower.bind] with a located [Invalid_argument], never an escaped
+   stack exception or an unchecked read. *)
+let test_malformed_program_refused () =
+  let g = make_grid ~halo:[| 1 |] ~dims:[| 8 |] 7 in
+  let o = Grid.create ~halo:[| 1 |] ~dims:[| 8 |] () in
+  let accesses = [| { Expr.field = 0; offsets = [| 0 |] } |] in
+  List.iter
+    (fun (what, code, depth, substr) ->
+      let plan =
+        Plan.v ~name:what ~rank:1 ~n_fields:1 ~accesses
+          ~body:(Plan.Program { code; depth })
+      in
+      raises_invalid ~substr (fun () ->
+          Lower.bind plan ~inputs:[| g |] ~output:o);
+      raises_invalid ~substr (fun () ->
+          Sweep.run ~backend:Sweep.Plan_backend ~check:false ~plan
+            heat1 ~inputs:[| g |] ~output:o))
+    [ ("underflow", [| Plan.Load 0; Plan.Add |], 1, "Lower: postfix stack underflow");
+      ("empty", [||], 0, "Lower: postfix program leaves 0 values");
+      ( "leftover",
+        [| Plan.Load 0; Plan.Push 1.0 |], 2,
+        "Lower: postfix program leaves 2 values" );
+      ( "past declared depth",
+        [| Plan.Load 0; Plan.Load 0; Plan.Add |], 1,
+        "Lower: postfix instruction 1 exceeds" );
+      ("dangling slot", [| Plan.Load 3 |], 1, "Lower: postfix instruction 0 loads slot 3") ]
+
 let test_unresolved_both_backends () =
   let spec = Spec.v ~name:"sym" ~rank:1 Dsl.(p "r" *: fld [ 0 ]) in
   let g = make_grid ~halo:[| 1 |] ~dims:[| 8 |] 5 in
@@ -311,6 +515,9 @@ let suite =
   [ qt plan_backend_matches_oracle;
     qt wavefront_backend_parity;
     qt traced_backend_parity;
+    qt tape_property;
+    Alcotest.test_case "tape keeps signed zeros and NaN payloads apart"
+      `Quick test_tape_constant_bits;
     Alcotest.test_case "heat 5pt lowers to Groups" `Quick test_groups_detected;
     Alcotest.test_case "division falls back to Program" `Quick
       test_program_fallback;
@@ -326,6 +533,8 @@ let suite =
       test_check_rank;
     Alcotest.test_case "insufficient halo rejected everywhere" `Quick
       test_check_halo;
+    Alcotest.test_case "malformed postfix programs refused at bind" `Quick
+      test_malformed_program_refused;
     Alcotest.test_case "unresolved coefficient rejected on both backends"
       `Quick test_unresolved_both_backends;
     Alcotest.test_case "sanitizer verdict identical across backends" `Quick

@@ -404,26 +404,39 @@ let test_cert_persistence () =
   in
   Fun.protect ~finally @@ fun () ->
   Cert.clear ();
-  Cert.set_store (Some (Store.open_root root));
+  let store = Store.open_root root in
+  Cert.set_store (Some store);
   Cert.insert
     { Cert.key = "cert-key-1"; fingerprint = "fp-abc"; loads_per_point = 3;
       stores_per_point = 1; flops_per_point = 7 };
-  (* Clearing the in-memory table simulates a new process; the lookup
-     must restore the certificate from disk. *)
-  Cert.clear ();
-  Alcotest.(check int) "memory table empty" 0 (Cert.size ());
-  (match Cert.lookup "cert-key-1" with
-  | Some e ->
-      Alcotest.(check string) "fingerprint" "fp-abc" e.Cert.fingerprint;
-      Alcotest.(check int) "loads" 3 e.Cert.loads_per_point;
-      Alcotest.(check int) "stores" 1 e.Cert.stores_per_point;
-      Alcotest.(check int) "flops" 7 e.Cert.flops_per_point
-  | None -> Alcotest.fail "certificate lost across clear");
-  (* Detached again, a fresh clear really is empty. *)
-  Cert.set_store None;
-  Cert.clear ();
-  Alcotest.(check bool) "no store, no resurrection" true
-    (Cert.lookup "cert-key-1" = None)
+  if not (Cert.enabled ()) then begin
+    (* The YASKSITE_NO_CERT kill switch: the insert is dropped, so
+       nothing is remembered in memory or written to the store. *)
+    Alcotest.(check bool) "kill switch: lookup misses" true
+      (Cert.lookup "cert-key-1" = None);
+    Alcotest.(check int) "kill switch: memory table empty" 0 (Cert.size ());
+    Alcotest.(check int) "kill switch: no cert-v1 entry written" 0
+      (Store.fold_ns store ~ns:"cert-v1" ~init:0 (fun n ~key:_ ~payload:_ ->
+           n + 1))
+  end
+  else begin
+    (* Clearing the in-memory table simulates a new process; the lookup
+       must restore the certificate from disk. *)
+    Cert.clear ();
+    Alcotest.(check int) "memory table empty" 0 (Cert.size ());
+    (match Cert.lookup "cert-key-1" with
+    | Some e ->
+        Alcotest.(check string) "fingerprint" "fp-abc" e.Cert.fingerprint;
+        Alcotest.(check int) "loads" 3 e.Cert.loads_per_point;
+        Alcotest.(check int) "stores" 1 e.Cert.stores_per_point;
+        Alcotest.(check int) "flops" 7 e.Cert.flops_per_point
+    | None -> Alcotest.fail "certificate lost across clear");
+    (* Detached again, a fresh clear really is empty. *)
+    Cert.set_store None;
+    Cert.clear ();
+    Alcotest.(check bool) "no store, no resurrection" true
+      (Cert.lookup "cert-key-1" = None)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Tuner checkpoints through the store                                 *)
