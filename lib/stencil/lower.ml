@@ -207,73 +207,121 @@ let check (plan : Plan.t) ~inputs ~output =
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* ---- the value-numbered tape ----
+(* ---- the shift-classed tape ----
 
    A postfix program replays its expression tree verbatim, so once
    [Program.fuse] has substituted producers at shifted offsets the same
-   subterm appears many times over. [tape_of] value-numbers the code
-   once per bind: every distinct constant, load slot and
-   (operator, operand ids) node gets one register, in first-use order,
-   so operands always precede their users. Matching is structural only
-   — nothing is commuted, reassociated or simplified (x86 propagates
-   the first operand's NaN payload), and constants are keyed by their
-   bit pattern, so [0.0]/[-0.0] and distinct NaN payloads never merge.
-   Every register therefore holds exactly the bits the tree computes
-   for its subterm.
+   subterm appears many times over: verbatim, and shifted along the
+   rows. [tape_of] numbers the code once per bind into shift classes —
+   every value is a class read at a shift along the last dimension:
 
-   Each driver owns one [strip]-lane [float array] per register:
-   [store_row] runs every node over a whole strip of the row before the
-   next node, and [eval] runs the same tape on lane 0. A register is
-   small enough for the minor heap, so making a driver never goes to
-   [malloc] (a driver-sized block would, and would land in the hole a
-   freed grid left, so the next grid could not reuse it). *)
+   - a load's class is (field, leading offsets); its last offset is its
+     shift;
+   - an operator node's class is keyed by (operator, operand classes,
+     each non-constant operand's shift minus the smallest such shift),
+     and that smallest shift is the node's shift — so [ulap(y,x-1)],
+     [ulap(y,x)] and [ulap(y,x+1)] are one class read at -1, 0 and 1;
+   - constants have no shift and are keyed by their bit pattern, so
+     [0.0]/[-0.0] and distinct NaN payloads never merge (a node over
+     constants only, which [cfold] never leaves, gets shift 0).
+
+   Matching is structural only — nothing is commuted, reassociated or
+   simplified (x86 propagates the first operand's NaN payload) — so a
+   class is one function of the point, and every lane below holds
+   exactly the bits the tree computes for that subterm at that point.
+
+   Classes get one register each, in first-use order, so operands
+   precede their users. A backward pass gives every class the hull
+   [lo, hi] of shifts its users need it at. Over a strip of [n] points
+   from [x0], lane [k] of a class's register holds the class at
+   [x0 + lo + k], for [n + hi - lo] lanes, and each operand is read at
+   one fixed lane offset. A register is a line buffer of [strip + span]
+   lanes (constants: the widest span), so for spans up to
+   [256 - strip] it stays a minor-heap block and making a driver never
+   goes to [malloc] (a driver-sized block would, and would land in the
+   hole a freed grid left, so the next grid could not reuse it). Every
+   strip loop is unrolled by four with a scalar remainder. *)
 
 let strip = 64
 
 type op = Neg | Add | Sub | Mul | Div | Min | Max | Sel
 
-(* One operator node: [dst <- op x y z] over register ids; [y] and [z]
-   are [-1] where the operator takes fewer operands ([Sel]'s are
-   condition, then-value, else-value). *)
-type node = { op : op; dst : int; x : int; y : int; z : int }
-
-type tape = {
-  n_regs : int;
-  consts : (int * float) array;  (* register, value *)
-  loads : (int * int) array;  (* register, access-table slot *)
-  nodes : node array;  (* operands first *)
-  result : int;
+(* One operator node over [n + span] lanes: lane [k] of [dst] is [op]
+   of lanes [k + xo], [k + yo], [k + zo] of registers [x], [y], [z];
+   [y] and [z] are [-1] where the operator takes fewer operands
+   ([Sel]'s are condition, then-value, else-value). *)
+type node = {
+  op : op;
+  dst : int;
+  span : int;
+  x : int;
+  xo : int;
+  y : int;
+  yo : int;
+  z : int;
+  zo : int;
 }
 
-type key = KConst of int64 | KLoad of int | KNode of op * int * int * int
+(* One load class over [n + lspan] lanes: lane [k] of [ldst] is the
+   field at [x0 + lo + k], addressed through access-table slot [slot]
+   (any slot of the class: they share row base and table) at table
+   index [x0 + k + slot_shift.(slot) + rel]. *)
+type load = {
+  ldst : int;
+  slot : int;
+  rel : int;
+  lspan : int;
+  lo : int;
+  hi : int;
+}
+
+type tape = {
+  lanes : int array;  (* per register *)
+  consts : (int * float) array;  (* register, value *)
+  loads : load array;
+  nodes : node array;  (* operands first *)
+  result : int;
+      (* The result's class occurs only at the root — a class fixes its
+         subterm's shape — so its hull is the root's shift alone and lane
+         [k] holds point [x0 + k]. *)
+}
+
+type key =
+  | KConst of int64
+  | KLoad of int * int array  (* field, leading offsets *)
+  | KNode of op * int * int * int * int * int * int
+      (* operand classes, each followed by its relative shift; [-1]
+         and [0] for an absent operand *)
 
 (* Total on arbitrary code: a malformed program (underflow, a push past
    the declared [depth], a slot outside the access table, or anything
    but one value left at the end) is refused with [Invalid_argument]. *)
-let tape_of ~n_slots code depth =
+let tape_of ~(accesses : Expr.access array) code depth =
   let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Lower: " ^ m)) fmt in
-  let ids = Hashtbl.create 64 in
-  let n_regs = ref 0 in
-  let consts = ref [] and loads = ref [] and nodes = ref [] in
+  let n_slots = Array.length accesses in
+  let ids = Hashtbl.create 64 and keys = Hashtbl.create 64 in
+  let first_slot = Hashtbl.create 16 in
+  let n_cls = ref 0 in
   let intern key =
     match Hashtbl.find_opt ids key with
-    | Some r -> r
+    | Some c -> c
     | None ->
-        let r = !n_regs in
-        incr n_regs;
-        Hashtbl.add ids key r;
-        (match key with
-        | KConst bits -> consts := (r, Int64.float_of_bits bits) :: !consts
-        | KLoad s -> loads := (r, s) :: !loads
-        | KNode (op, x, y, z) -> nodes := { op; dst = r; x; y; z } :: !nodes);
-        r
+        let c = !n_cls in
+        incr n_cls;
+        Hashtbl.add ids key c;
+        Hashtbl.add keys c key;
+        c
   in
-  let stack = Array.make (max 0 depth) 0 and sp = ref 0 in
-  let push i r =
+  let shifted c =
+    c >= 0 && match Hashtbl.find keys c with KConst _ -> false | _ -> true
+  in
+  (* the stack holds (class, shift) pairs; a constant's shift is 0 *)
+  let stack = Array.make (max 0 depth) (0, 0) and sp = ref 0 in
+  let push i v =
     if !sp >= depth then
       fail "postfix instruction %d exceeds the declared stack depth %d" i
         depth;
-    stack.(!sp) <- r;
+    stack.(!sp) <- v;
     incr sp
   in
   let pop i =
@@ -282,20 +330,32 @@ let tape_of ~n_slots code depth =
     stack.(!sp)
   in
   let node i op arity =
-    let z = if arity = 3 then pop i else -1 in
-    let y = if arity >= 2 then pop i else -1 in
-    let x = pop i in
-    push i (intern (KNode (op, x, y, z)))
+    let ((zc, zs) as z) = if arity = 3 then pop i else (-1, 0) in
+    let ((yc, ys) as y) = if arity >= 2 then pop i else (-1, 0) in
+    let ((xc, xs) as x) = pop i in
+    let m =
+      List.fold_left
+        (fun m (c, s) -> if shifted c then min m s else m)
+        max_int [ x; y; z ]
+    in
+    let m = if m = max_int then 0 else m in
+    let rel c s = if shifted c then s - m else 0 in
+    push i
+      (intern (KNode (op, xc, rel xc xs, yc, rel yc ys, zc, rel zc zs)), m)
   in
   Array.iteri
     (fun i (ins : Plan.instr) ->
       match ins with
-      | Push c -> push i (intern (KConst (Int64.bits_of_float c)))
+      | Push c -> push i (intern (KConst (Int64.bits_of_float c)), 0)
       | Load s ->
           if s < 0 || s >= n_slots then
             fail "postfix instruction %d loads slot %d of a %d-entry table" i
               s n_slots;
-          push i (intern (KLoad s))
+          let o = accesses.(s).offsets in
+          let last = Array.length o - 1 in
+          let c = intern (KLoad (accesses.(s).field, Array.sub o 0 last)) in
+          if not (Hashtbl.mem first_slot c) then Hashtbl.add first_slot c s;
+          push i (c, o.(last))
       | Sym n -> raise (Unresolved_coefficient n)
       | Neg -> node i Neg 1
       | Add -> node i Add 2
@@ -308,12 +368,97 @@ let tape_of ~n_slots code depth =
     code;
   if !sp <> 1 then
     fail "postfix program leaves %d values on the stack instead of 1" !sp;
-  let arr l = Array.of_list (List.rev l) in
-  { n_regs = !n_regs;
-    consts = arr !consts;
-    loads = arr !loads;
-    nodes = arr !nodes;
-    result = stack.(0) }
+  (* Hulls, users before operands. Every pushed value is popped by one
+     later node or is the result, and that node's key names the value's
+     class, so every class but a constant reaches the result and gets a
+     non-empty hull before its operands are visited. *)
+  let n = !n_cls in
+  let key = Array.init n (Hashtbl.find keys) in
+  let lo = Array.make n max_int and hi = Array.make n min_int in
+  let need c a b =
+    if shifted c then begin
+      lo.(c) <- min lo.(c) a;
+      hi.(c) <- max hi.(c) b
+    end
+  in
+  let rc, rs = stack.(0) in
+  need rc rs rs;
+  for c = n - 1 downto 0 do
+    match key.(c) with
+    | KNode (_, xc, xr, yc, yr, zc, zr) ->
+        need xc (lo.(c) + xr) (hi.(c) + xr);
+        need yc (lo.(c) + yr) (hi.(c) + yr);
+        need zc (lo.(c) + zr) (hi.(c) + zr)
+    | KConst _ | KLoad _ -> ()
+  done;
+  let span c = if shifted c then hi.(c) - lo.(c) else 0 in
+  let max_span = ref 0 in
+  for c = 0 to n - 1 do
+    max_span := max !max_span (span c)
+  done;
+  let consts = ref [] and loads = ref [] and nodes = ref [] in
+  for c = n - 1 downto 0 do
+    match key.(c) with
+    | KConst bits -> consts := (c, Int64.float_of_bits bits) :: !consts
+    | KLoad _ ->
+        let s = Hashtbl.find first_slot c in
+        let o = accesses.(s).offsets in
+        loads :=
+          { ldst = c;
+            slot = s;
+            rel = lo.(c) - o.(Array.length o - 1);
+            lspan = span c;
+            lo = lo.(c);
+            hi = hi.(c) }
+          :: !loads
+    | KNode (op, x, xr, y, yr, z, zr) ->
+        let off o r = if shifted o then lo.(c) + r - lo.(o) else 0 in
+        nodes :=
+          { op;
+            dst = c;
+            span = span c;
+            x;
+            xo = off x xr;
+            y;
+            yo = off y yr;
+            z;
+            zo = off z zr }
+          :: !nodes
+  done;
+  { lanes =
+      Array.init n (fun c ->
+          strip + if shifted c then span c else !max_span);
+    consts = Array.of_list !consts;
+    loads = Array.of_list !loads;
+    nodes = Array.of_list !nodes;
+    result = rc }
+
+(* The bind-time proof behind the unchecked reads of [run_strip]: every
+   load class's hull lies within the last-dimension offsets its slots
+   carry in the access table, so a strip reads nothing outside the
+   convex hull of the expression's own read set — which [check] and the
+   schedule gates prove in bounds. *)
+let check_hulls (accesses : Expr.access array) t =
+  Array.iter
+    (fun l ->
+      let a = accesses.(l.slot) in
+      let last = Array.length a.offsets - 1 in
+      let lead = Array.sub a.offsets 0 last in
+      let mn = ref max_int and mx = ref min_int in
+      Array.iter
+        (fun (b : Expr.access) ->
+          if b.field = a.field && Array.sub b.offsets 0 last = lead then begin
+            mn := min !mn b.offsets.(last);
+            mx := max !mx b.offsets.(last)
+          end)
+        accesses;
+      if l.lo < !mn || l.hi > !mx then
+        invalid_arg
+          (Printf.sprintf
+             "Lower: load class of slot %d needs shifts [%d, %d] outside \
+              its access-table offsets [%d, %d]"
+             l.slot l.lo l.hi !mn !mx))
+    t.loads
 
 type bbody =
   | BGroups of {
@@ -373,7 +518,9 @@ let bind (plan : Plan.t) ~inputs ~output =
     match plan.Plan.body with
     | Plan.Groups gs -> flatten gs
     | Plan.Program { code; depth } ->
-        BTape (tape_of ~n_slots:(Plan.n_slots plan) code depth)
+        let t = tape_of ~accesses:plan.Plan.accesses code depth in
+        check_hulls plan.Plan.accesses t;
+        BTape t
   in
   let r = plan.Plan.rank in
   let field_tab = Array.map Grid.last_dim_offsets inputs in
@@ -401,6 +548,11 @@ let bind (plan : Plan.t) ~inputs ~output =
 
 let plan_of b = b.plan
 
+let tape_counts b =
+  match b.bbody with
+  | BGroups _ -> None
+  | BTape t -> Some (Array.length t.nodes, Array.length t.loads)
+
 (* Raw addressing handles for generated kernels (Codegen): the bound's
    storage and tables, without the interpreter in between. *)
 type raw = {
@@ -423,7 +575,7 @@ type driver = {
   row : int array;  (* per-slot row base, set by {!set_row} *)
   mutable out_row : int;
   oc : int array;  (* rank-1 coordinate scratch *)
-  regs : float array array;  (* the tape's registers, [strip] lanes each *)
+  regs : float array array;  (* the tape's line-buffer registers *)
 }
 
 let driver b =
@@ -431,8 +583,10 @@ let driver b =
     match b.bbody with
     | BGroups _ -> [||]
     | BTape t ->
-        let regs = Array.init t.n_regs (fun _ -> Array.make strip 0.0) in
-        Array.iter (fun (r, c) -> Array.fill regs.(r) 0 strip c) t.consts;
+        let regs = Array.map (fun n -> Array.make n 0.0) t.lanes in
+        Array.iter
+          (fun (r, c) -> Array.fill regs.(r) 0 t.lanes.(r) c)
+          t.consts;
         regs
   in
   { b;
@@ -460,8 +614,9 @@ let driver_out_row drv = drv.out_row
 (* No bounds checks below: for regions inside the iteration space every
    table index [x + shift] lies in [0, padded last extent) because the
    left pad covers the halo — callers gate illegal regions via [check]
-   or trap them via the sanitizer before evaluation. Register ids are
-   in range by construction of the tape. *)
+   or trap them via the sanitizer before evaluation. A tape's load
+   lanes stay within the same indices ([check_hulls]); register ids and
+   lanes are in range by construction of the tape. *)
 
 let term_val b row t_coeff t_slot t x =
   let s = Array.unsafe_get t_slot t in
@@ -496,69 +651,161 @@ let point_groups b row goff scaled gscale t_coeff t_slot x =
   done;
   !acc
 
-(* Run the tape over lanes [0, n) for the points [x0, x0 + n) of the
-   current row: every load, then every node, each over the whole strip. *)
+(* Unchecked float-array access for the registers. *)
+external get : float array -> int -> float = "%array_unsafe_get"
+external set : float array -> int -> float -> unit = "%array_unsafe_set"
+
+(* Run the tape for the points [x0, x0 + n) of the current row: every
+   load class, then every node, each over its [n + span] lanes — four
+   lanes per iteration, then the rest one by one. Each operand is read
+   from one base index per iteration plus a constant, which the
+   compiler folds into the addressing. *)
 let run_strip b t (regs : float array array) row x0 n =
   for i = 0 to Array.length t.loads - 1 do
-    let d, s = Array.unsafe_get t.loads i in
-    let r = Array.unsafe_get regs d
-    and data = Array.unsafe_get b.slot_data s
-    and tab = Array.unsafe_get b.slot_tab s
-    and base = Array.unsafe_get row s
-    and sh = x0 + Array.unsafe_get b.slot_shift s in
-    for k = 0 to n - 1 do
-      Array.unsafe_set r k
-        (Bigarray.Array1.unsafe_get data (base + Array.unsafe_get tab (sh + k)))
+    let l = Array.unsafe_get t.loads i in
+    let r = Array.unsafe_get regs l.ldst
+    and data = Array.unsafe_get b.slot_data l.slot
+    and tab = Array.unsafe_get b.slot_tab l.slot
+    and base = Array.unsafe_get row l.slot
+    and sh = x0 + Array.unsafe_get b.slot_shift l.slot + l.rel
+    and m = n + l.lspan in
+    for j = 0 to (m lsr 2) - 1 do
+      let k = j lsl 2 in
+      let ks = k + sh in
+      set r k
+        (Bigarray.Array1.unsafe_get data (base + Array.unsafe_get tab ks));
+      set r (k + 1)
+        (Bigarray.Array1.unsafe_get data
+           (base + Array.unsafe_get tab (ks + 1)));
+      set r (k + 2)
+        (Bigarray.Array1.unsafe_get data
+           (base + Array.unsafe_get tab (ks + 2)));
+      set r (k + 3)
+        (Bigarray.Array1.unsafe_get data
+           (base + Array.unsafe_get tab (ks + 3)))
+    done;
+    for k = m land lnot 3 to m - 1 do
+      set r k
+        (Bigarray.Array1.unsafe_get data
+           (base + Array.unsafe_get tab (k + sh)))
     done
   done;
   for i = 0 to Array.length t.nodes - 1 do
     let nd = Array.unsafe_get t.nodes i in
     let r = Array.unsafe_get regs nd.dst
-    and x = Array.unsafe_get regs nd.x in
+    and x = Array.unsafe_get regs nd.x
+    and xo = nd.xo
+    and m = n + nd.span in
+    let q = m lsr 2 and rem = m land lnot 3 in
     match nd.op with
     | Neg ->
-        for k = 0 to n - 1 do
-          Array.unsafe_set r k (-.Array.unsafe_get x k)
+        for j = 0 to q - 1 do
+          let k = j lsl 2 in
+          let kx = k + xo in
+          set r k (-.get x kx);
+          set r (k + 1) (-.get x (kx + 1));
+          set r (k + 2) (-.get x (kx + 2));
+          set r (k + 3) (-.get x (kx + 3))
+        done;
+        for k = rem to m - 1 do
+          set r k (-.get x (k + xo))
         done
     | Add ->
-        let y = Array.unsafe_get regs nd.y in
-        for k = 0 to n - 1 do
-          Array.unsafe_set r k (Array.unsafe_get x k +. Array.unsafe_get y k)
+        let y = Array.unsafe_get regs nd.y and yo = nd.yo in
+        for j = 0 to q - 1 do
+          let k = j lsl 2 in
+          let kx = k + xo and ky = k + yo in
+          set r k ((get x kx) +. (get y ky));
+          set r (k + 1) ((get x (kx + 1)) +. (get y (ky + 1)));
+          set r (k + 2) ((get x (kx + 2)) +. (get y (ky + 2)));
+          set r (k + 3) ((get x (kx + 3)) +. (get y (ky + 3)))
+        done;
+        for k = rem to m - 1 do
+          set r k ((get x (k + xo)) +. (get y (k + yo)))
         done
     | Sub ->
-        let y = Array.unsafe_get regs nd.y in
-        for k = 0 to n - 1 do
-          Array.unsafe_set r k (Array.unsafe_get x k -. Array.unsafe_get y k)
+        let y = Array.unsafe_get regs nd.y and yo = nd.yo in
+        for j = 0 to q - 1 do
+          let k = j lsl 2 in
+          let kx = k + xo and ky = k + yo in
+          set r k ((get x kx) -. (get y ky));
+          set r (k + 1) ((get x (kx + 1)) -. (get y (ky + 1)));
+          set r (k + 2) ((get x (kx + 2)) -. (get y (ky + 2)));
+          set r (k + 3) ((get x (kx + 3)) -. (get y (ky + 3)))
+        done;
+        for k = rem to m - 1 do
+          set r k ((get x (k + xo)) -. (get y (k + yo)))
         done
     | Mul ->
-        let y = Array.unsafe_get regs nd.y in
-        for k = 0 to n - 1 do
-          Array.unsafe_set r k (Array.unsafe_get x k *. Array.unsafe_get y k)
+        let y = Array.unsafe_get regs nd.y and yo = nd.yo in
+        for j = 0 to q - 1 do
+          let k = j lsl 2 in
+          let kx = k + xo and ky = k + yo in
+          set r k ((get x kx) *. (get y ky));
+          set r (k + 1) ((get x (kx + 1)) *. (get y (ky + 1)));
+          set r (k + 2) ((get x (kx + 2)) *. (get y (ky + 2)));
+          set r (k + 3) ((get x (kx + 3)) *. (get y (ky + 3)))
+        done;
+        for k = rem to m - 1 do
+          set r k ((get x (k + xo)) *. (get y (k + yo)))
         done
     | Div ->
-        let y = Array.unsafe_get regs nd.y in
-        for k = 0 to n - 1 do
-          Array.unsafe_set r k (Array.unsafe_get x k /. Array.unsafe_get y k)
+        let y = Array.unsafe_get regs nd.y and yo = nd.yo in
+        for j = 0 to q - 1 do
+          let k = j lsl 2 in
+          let kx = k + xo and ky = k + yo in
+          set r k ((get x kx) /. (get y ky));
+          set r (k + 1) ((get x (kx + 1)) /. (get y (ky + 1)));
+          set r (k + 2) ((get x (kx + 2)) /. (get y (ky + 2)));
+          set r (k + 3) ((get x (kx + 3)) /. (get y (ky + 3)))
+        done;
+        for k = rem to m - 1 do
+          set r k ((get x (k + xo)) /. (get y (k + yo)))
         done
     | Min ->
-        let y = Array.unsafe_get regs nd.y in
-        for k = 0 to n - 1 do
-          Array.unsafe_set r k
-            (Float.min (Array.unsafe_get x k) (Array.unsafe_get y k))
+        let y = Array.unsafe_get regs nd.y and yo = nd.yo in
+        for j = 0 to q - 1 do
+          let k = j lsl 2 in
+          let kx = k + xo and ky = k + yo in
+          set r k (Float.min (get x kx) (get y ky));
+          set r (k + 1) (Float.min (get x (kx + 1)) (get y (ky + 1)));
+          set r (k + 2) (Float.min (get x (kx + 2)) (get y (ky + 2)));
+          set r (k + 3) (Float.min (get x (kx + 3)) (get y (ky + 3)))
+        done;
+        for k = rem to m - 1 do
+          set r k (Float.min (get x (k + xo)) (get y (k + yo)))
         done
     | Max ->
-        let y = Array.unsafe_get regs nd.y in
-        for k = 0 to n - 1 do
-          Array.unsafe_set r k
-            (Float.max (Array.unsafe_get x k) (Array.unsafe_get y k))
+        let y = Array.unsafe_get regs nd.y and yo = nd.yo in
+        for j = 0 to q - 1 do
+          let k = j lsl 2 in
+          let kx = k + xo and ky = k + yo in
+          set r k (Float.max (get x kx) (get y ky));
+          set r (k + 1) (Float.max (get x (kx + 1)) (get y (ky + 1)));
+          set r (k + 2) (Float.max (get x (kx + 2)) (get y (ky + 2)));
+          set r (k + 3) (Float.max (get x (kx + 3)) (get y (ky + 3)))
+        done;
+        for k = rem to m - 1 do
+          set r k (Float.max (get x (k + xo)) (get y (k + yo)))
         done
     | Sel ->
-        let y = Array.unsafe_get regs nd.y
-        and z = Array.unsafe_get regs nd.z in
-        for k = 0 to n - 1 do
-          Array.unsafe_set r k
-            (if Array.unsafe_get x k > 0.0 then Array.unsafe_get y k
-             else Array.unsafe_get z k)
+        let y = Array.unsafe_get regs nd.y and yo = nd.yo
+        and z = Array.unsafe_get regs nd.z and zo = nd.zo in
+        for j = 0 to q - 1 do
+          let k = j lsl 2 in
+          let kx = k + xo and ky = k + yo and kz = k + zo in
+          set r k
+            (if get x kx > 0.0 then get y ky else get z kz);
+          set r (k + 1)
+            (if get x (kx + 1) > 0.0 then get y (ky + 1) else get z (kz + 1));
+          set r (k + 2)
+            (if get x (kx + 2) > 0.0 then get y (ky + 2) else get z (kz + 2));
+          set r (k + 3)
+            (if get x (kx + 3) > 0.0 then get y (ky + 3) else get z (kz + 3))
+        done;
+        for k = rem to m - 1 do
+          set r k
+            (if get x (k + xo) > 0.0 then get y (k + yo) else get z (k + zo))
         done
   done
 

@@ -5,14 +5,22 @@
     value-preserving down to the bit for the engine's finite data).
     [bind] specialises a plan to concrete grids: per-access row-base
     tables and last-dimension offset tables, so the engine's inner loop
-    runs without per-point closure dispatch. A postfix body is
-    value-numbered into a tape at bind time: every distinct constant
-    (by bit pattern), load and (operator, operands) node is computed
-    once per point, in the tree's own operation order, so the shared
-    subterms that stage fusion substitutes at shifted offsets are not
-    recomputed and results stay bit-identical to the tree. A [bound] is
-    immutable and can be shared across pool slices; each slice
-    allocates its own {!driver} for mutable scratch. *)
+    runs without per-point closure dispatch.
+
+    A postfix body is numbered into a {e tape} of shift classes at bind
+    time. A load's class is its field and leading offsets, and its last
+    offset is its shift. An operator node's class is its operator, its
+    operands' classes and their shifts relative to the smallest one,
+    which becomes the node's own shift. Constants are keyed by bit
+    pattern and have no shift. So the subterms that stage fusion
+    substitutes at offsets along the last dimension — [ulap(y,x-1)],
+    [ulap(y,x)] and [ulap(y,x+1)] in a fused hdiff stage — are one
+    class, computed once per point and read at three lane offsets.
+    Matching is structural only (nothing is commuted, reassociated or
+    simplified), every class runs in the tree's own operation order,
+    and results stay bit-identical to the tree. A [bound] is immutable
+    and can be shared across pool slices; each slice allocates its own
+    {!driver} for mutable scratch. *)
 
 val lower : Spec.t -> Plan.t
 (** Lower a spec (resolved or not — unresolved coefficients become
@@ -48,9 +56,18 @@ val bind :
     postfix body. A malformed postfix body (stack underflow, a push past
     its declared depth, a slot outside the access table, or anything
     but exactly one value left) raises [Invalid_argument] with a
-    ["Lower: ..."] message. *)
+    ["Lower: ..."] message. So does a load class whose hull of needed
+    shifts (see {!store_row}) leaves the last-dimension offsets its
+    slots carry in the access table — the proof that the tape's
+    unchecked reads stay inside the expression's own read set, which
+    {!check} and the schedule gate prove in bounds. *)
 
 val plan_of : bound -> Plan.t
+
+val tape_counts : bound -> (int * int) option
+(** [Some (nodes, loads)]: the operator nodes and load classes of a
+    postfix body's tape, after shift-class numbering; [None] for an
+    FMA-chain body. Read-only — for tests and reports. *)
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -68,9 +85,10 @@ val raw_of : bound -> raw
 
 type driver
 (** Per-region mutable scratch over a shared {!bound} (slot row bases,
-    coordinate scratch, the tape's registers: one strip of lanes per
-    distinct value, constants filled once here). Not thread-safe;
-    allocate one per concurrent region. *)
+    coordinate scratch, the tape's registers: one line buffer of
+    strip + span lanes per class, constants filled once here; each a
+    minor-heap block while spans stay within 192 lanes). Not
+    thread-safe; allocate one per concurrent region. *)
 
 val driver : bound -> driver
 
@@ -88,8 +106,11 @@ val driver_out_row : driver -> int
 
 val eval : driver -> int -> float
 (** Value at last-dimension coordinate [x] of the current row: the
-    tape run on a single lane, allocating nothing per node (the traced
-    and sanitized paths). No bounds checks — see {!store_row}. *)
+    tape run on a strip of one point, allocating nothing (the traced and
+    sanitized paths). One traced point still computes every class over
+    its whole hull, so it reads the loads' hull lanes around [x], not
+    only the access-table entries the trace reports. No bounds checks —
+    see {!store_row}. *)
 
 val out_offset : driver -> int -> int
 (** Flat element offset of the output point at [x]. *)
@@ -104,9 +125,13 @@ val read_addr : driver -> int -> int -> int
 val store_row : driver -> int -> int -> unit
 (** [store_row drv xb xe]: evaluate and store every point of the
     current row with [xb <= x < xe] — the untraced hot path, row bases
-    hoisted. A postfix body runs strip by strip: each tape node over a
-    fixed-length strip of the row before the next node, then the strip
-    is stored; an FMA-chain body runs one monomorphic loop per point.
+    hoisted. A postfix body runs strip by strip (64 points): a backward
+    pass at bind time gave every class the hull [\[lo, hi\]] of shifts
+    its users need it at, so over a strip of [n] points each load class
+    and then each node runs over [n + hi - lo] lanes, reading each
+    operand at one fixed lane offset, before the next one; then the
+    strip is stored. Every strip loop is unrolled by four with a scalar
+    remainder. An FMA-chain body runs one monomorphic loop per point.
     The output index advances incrementally on unit-stride layouts. No
     bounds checks: the caller must have gated the region (legal
     interior regions are always safe because grid left padding covers

@@ -144,15 +144,28 @@ let traced_backend_parity =
     QCheck.small_int (fun seed -> traced_matches_oracle ~seed)
 
 (* ------------------------------------------------------------------ *)
-(* The value-numbered tape behind Program bodies.                      *)
+(* The shift-classed tape behind Program bodies.                       *)
 
-(* The strip length the interpreter batches rows into; row lengths of
-   1, below it, exactly it and past it (never a multiple) are drawn. *)
+(* The strip length the interpreter batches rows into. *)
 let strip = 64
 
-let same_bits a b =
+(* Row-major iteration over the box [lo, hi). *)
+let iter_box lo hi f =
+  let rank = Array.length lo in
+  let idx = Array.copy lo in
+  let rec go d =
+    if d = rank then f idx
+    else
+      for i = lo.(d) to hi.(d) - 1 do
+        idx.(d) <- i;
+        go (d + 1)
+      done
+  in
+  go 0
+
+let same_bits_in lo hi a b =
   let ok = ref true in
-  Grid.iter_interior a ~f:(fun idx ->
+  iter_box lo hi (fun idx ->
       if
         not
           (Int64.equal
@@ -161,13 +174,27 @@ let same_bits a b =
       then ok := false);
   !ok
 
+let same_bits a b =
+  let dims = Grid.dims a in
+  same_bits_in (Array.make (Array.length dims) 0) dims a b
+
 (* A random expression shaped like [Program.fuse] output: a few
    producer subtrees, each substituted at shifted offsets, so equal
    subterms recur (at least one use appears twice verbatim) and value
-   numbering has work to do. Every operator is drawn, division included:
-   infinities and NaNs must reproduce to the bit as well. *)
-let fused_expr rng ~rank ~n_fields =
+   numbering has work to do. With [x_only] the uses shift along the last
+   dimension only, as the flux stages of a fused hdiff read a Laplacian
+   at x-1, x and x+1: those uses differ only by a shift, so they merge
+   into one shift class read at several lane offsets. Every operator is
+   drawn, division included: infinities and NaNs must reproduce to the
+   bit as well. *)
+let fused_expr rng ~rank ~n_fields ~x_only =
   let off () = Array.init rank (fun _ -> Prng.int rng ~bound:3 - 1) in
+  let use_off () =
+    if x_only then
+      Array.init rank (fun d ->
+          if d = rank - 1 then Prng.int rng ~bound:5 - 2 else 0)
+    else off ()
+  in
   let leaf () =
     if Prng.int rng ~bound:4 = 0 then
       Expr.Const (Prng.float_range rng ~lo:(-2.0) ~hi:2.0)
@@ -195,7 +222,7 @@ let fused_expr rng ~rank ~n_fields =
   in
   let use () =
     let p = producers.(Prng.int rng ~bound:(Array.length producers)) in
-    let o = off () in
+    let o = use_off () in
     Expr.map_accesses
       (fun a -> { a with Expr.offsets = Array.map2 ( + ) a.Expr.offsets o })
       p
@@ -220,23 +247,52 @@ let fused_expr rng ~rank ~n_fields =
         Expr.Mul (twice, twice)),
       Expr.Const 1.0 )
 
+(* Last-dimension extents: 1..7 and 4k +- 1 around [strip] land in the
+   unrolled loops' scalar remainder; the others cover a row shorter
+   than, equal to and longer than one strip. *)
+let row_length rng =
+  match Prng.int rng ~bound:5 with
+  | 0 -> 1 + Prng.int rng ~bound:7
+  | 1 -> 2 + Prng.int rng ~bound:(strip - 2)
+  | 2 -> strip
+  | 3 -> strip + 1 + Prng.int rng ~bound:(strip - 2)
+  | _ ->
+      (4 * ((strip / 4) - 2 + Prng.int rng ~bound:5))
+      + if Prng.bool rng then 1 else -1
+
+(* Row strips and traced points against the oracle, on plain and on
+   extended sweeps. An extended sweep ([Sweep.run ~extend], the program
+   executor's way of computing a stage into its halo) gets every input
+   halo at exactly the gated minimum — the field's read radius plus the
+   extension — so the class hulls of the outermost points reach the
+   edge of the allocation. Halos hold random values too, so a lane
+   computed from the wrong neighbour shows. *)
 let tape_matches_oracle ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let n_fields = 1 + Prng.int rng ~bound:2 in
+  let x_only = Prng.bool rng in
   let spec =
-    Spec.v ~name:"fused" ~rank ~n_fields (fused_expr rng ~rank ~n_fields)
+    Spec.v ~name:"fused" ~rank ~n_fields
+      (fused_expr rng ~rank ~n_fields ~x_only)
   in
-  let halo = Analysis.halo (Analysis.of_spec spec) in
+  let info = Analysis.of_spec spec in
   let dims =
     Array.init rank (fun i ->
-        if i < rank - 1 then 1 + Prng.int rng ~bound:4
-        else
-          match Prng.int rng ~bound:4 with
-          | 0 -> 1
-          | 1 -> 2 + Prng.int rng ~bound:(strip - 2)
-          | 2 -> strip
-          | _ -> strip + 1 + Prng.int rng ~bound:(strip - 2))
+        if i < rank - 1 then 1 + Prng.int rng ~bound:4 else row_length rng)
+  in
+  let extend =
+    if Prng.int rng ~bound:3 = 0 then
+      Some (Array.init rank (fun _ -> 1 + Prng.int rng ~bound:2))
+    else None
+  in
+  let ext d = match extend with Some e -> e.(d) | None -> 0 in
+  let field_halo f =
+    let r = Array.init rank ext in
+    List.iter
+      (Array.iteri (fun d o -> r.(d) <- max r.(d) (abs o + ext d)))
+      (Analysis.accesses_of_field info f);
+    r
   in
   let layout =
     if Prng.bool rng then Grid.Linear
@@ -258,24 +314,36 @@ let tape_matches_oracle ~seed =
   in
   let cfg = Config.v ?fold ?block () in
   let inputs =
-    Array.init n_fields (fun i -> make_grid ~layout ~halo ~dims (seed + i))
+    Array.init n_fields (fun f ->
+        let halo = field_halo f in
+        let g = Grid.create ~halo ~layout ~dims () in
+        let vals = Prng.create ~seed:(seed + f) in
+        iter_box (Array.map ( ~- ) halo)
+          (Array.mapi (fun d n -> n + halo.(d)) dims)
+          (fun idx ->
+            Grid.set g idx (Prng.float_range vals ~lo:(-1.0) ~hi:1.0));
+        g)
   in
+  let lo = Array.init rank (fun d -> -ext d)
+  and hi = Array.mapi (fun d n -> n + ext d) dims in
+  let halo = Array.init rank (fun d -> max 1 (ext d)) in
   let expected = Grid.create ~halo ~layout ~dims () in
-  Oracle.sweep spec ~inputs ~output:expected;
+  iter_box lo hi (fun idx ->
+      Grid.set expected idx (Oracle.point spec ~inputs idx));
   let rows = Grid.create ~halo ~layout ~dims () in
   ignore
-    (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg spec ~inputs
+    (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg ?extend spec ~inputs
        ~output:rows);
   let points = Grid.create ~halo ~layout ~dims () in
   ignore
-    (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg
+    (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg ?extend
        ~trace:(Hierarchy.create Machine.test_chip) spec ~inputs ~output:points);
-  same_bits rows expected && same_bits points expected
+  same_bits_in lo hi rows expected && same_bits_in lo hi points expected
 
 let tape_property =
   QCheck.Test.make
     ~name:"tape: row strips and traced points bit-reproduce the oracle"
-    ~count:150 QCheck.small_int (fun seed -> tape_matches_oracle ~seed)
+    ~count:300 QCheck.small_int (fun seed -> tape_matches_oracle ~seed)
 
 (* Constants are numbered by bit pattern: [0.0] and [-0.0], and two NaNs
    with different payloads, are distinct registers. Merging either pair
@@ -317,6 +385,36 @@ let test_tape_constant_bits () =
       Alcotest.(check bool) (name ^ ": oracle agrees") true
         (same_bits rows expected))
     [ ("signed zeros", 0.0, -0.0); ("NaN payloads", nan1, nan2) ]
+
+(* The structural win of shift classes, pinned: a fused hdiff output
+   stage reads each Laplacian and flux subterm at up to three shifts
+   along x, which value numbering alone kept as separate nodes (46
+   nodes, 14 loads); shift classes merge them. The unfused limiter
+   stage merges only its loads. Losing the shift matching would still
+   pass every bit-identity test, so the counts are the guard. *)
+let test_hdiff_tape_counts () =
+  let module P = Yasksite_stencil.Program in
+  let counts prog name =
+    let spec = P.stage_spec prog (Option.get (P.find_stage prog name)) in
+    let halo = Analysis.halo (Analysis.of_spec spec) in
+    let dims = [| 8; 8 |] in
+    let inputs =
+      Array.init spec.Spec.n_fields (fun i -> make_grid ~halo ~dims i)
+    in
+    let output = Grid.create ~halo ~dims () in
+    Lower.tape_counts (Lower.bind (Lower.lower spec) ~inputs ~output)
+  in
+  let p = Suite.hdiff in
+  let fused = P.fuse p ~inline:(P.inlinable p) in
+  Array.iter
+    (fun out ->
+      Alcotest.(check (option (pair int int)))
+        ("fused " ^ out ^ ": (nodes, loads)") (Some (32, 6)) (counts fused out))
+    p.P.outputs;
+  Alcotest.(check (option (pair int int)))
+    "unfused ufli: (nodes, loads)" (Some (4, 2)) (counts p "ufli");
+  Alcotest.(check (option (pair int int)))
+    "an FMA-chain body has no tape" None (counts p "ulap")
 
 (* ------------------------------------------------------------------ *)
 (* Plan structure and fingerprints.                                    *)
@@ -518,6 +616,8 @@ let suite =
     qt tape_property;
     Alcotest.test_case "tape keeps signed zeros and NaN payloads apart"
       `Quick test_tape_constant_bits;
+    Alcotest.test_case "shift classes shrink the fused hdiff tapes" `Quick
+      test_hdiff_tape_counts;
     Alcotest.test_case "heat 5pt lowers to Groups" `Quick test_groups_detected;
     Alcotest.test_case "division falls back to Program" `Quick
       test_program_fallback;
