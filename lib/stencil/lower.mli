@@ -7,20 +7,29 @@
     tables and last-dimension offset tables, so the engine's inner loop
     runs without per-point closure dispatch.
 
-    A postfix body is numbered into a {e tape} of shift classes at bind
-    time. A load's class is its field and leading offsets, and its last
-    offset is its shift. An operator node's class is its operator, its
-    operands' classes and their shifts relative to the smallest one,
-    which becomes the node's own shift. Constants are keyed by bit
-    pattern and have no shift. So the subterms that stage fusion
-    substitutes at offsets along the last dimension — [ulap(y,x-1)],
-    [ulap(y,x)] and [ulap(y,x+1)] in a fused hdiff stage — are one
-    class, computed once per point and read at three lane offsets.
-    Matching is structural only (nothing is commuted, reassociated or
-    simplified), every class runs in the tree's own operation order,
-    and results stay bit-identical to the tree. A [bound] is immutable
-    and can be shared across pool slices; each slice allocates its own
-    {!driver} for mutable scratch. *)
+    A postfix body is numbered into a {e tape} of 2-D shift classes at
+    bind time. A shift is a (row, lane) pair: the row is dimension
+    [rank - 2] (always 0 at rank 1), the lane the last dimension. A
+    load's class is its field and its offsets other than the last two,
+    which are its shift. An operator node's class is its operator, its
+    operands' classes and their shifts relative to the componentwise
+    minimum, which becomes the node's own shift. Constants are keyed by
+    bit pattern and have no shift. So the subterms that stage fusion
+    substitutes at offsets along the rows and lanes — [ulap(y-1,x)],
+    [ulap(y,x-1)], [ulap(y,x)] and [ulap(y,x+1)] in a fused hdiff stage —
+    are one class. Matching is structural only (nothing is commuted,
+    reassociated or simplified), every class runs in the tree's own
+    operation order, and results stay bit-identical to the tree.
+
+    Each class keeps one line buffer per row of its row hull, in a ring
+    (see {!store_row}). When a row continues the previous one — the
+    next row along dimension [rank - 2] of the same segment — the rings
+    rotate and every class computes only its newest row, so a row of a
+    class is computed once however many rows read it: the paper's
+    layer condition applied to the interpreter. Anything else restarts
+    the rings. A [bound] is immutable and can be shared across pool
+    slices; each slice allocates its own {!driver} for mutable
+    scratch. *)
 
 val lower : Spec.t -> Plan.t
 (** Lower a spec (resolved or not — unresolved coefficients become
@@ -56,17 +65,20 @@ val bind :
     postfix body. A malformed postfix body (stack underflow, a push past
     its declared depth, a slot outside the access table, or anything
     but exactly one value left) raises [Invalid_argument] with a
-    ["Lower: ..."] message. So does a load class whose hull of needed
-    shifts (see {!store_row}) leaves the last-dimension offsets its
-    slots carry in the access table — the proof that the tape's
-    unchecked reads stay inside the expression's own read set, which
-    {!check} and the schedule gate prove in bounds. *)
+    ["Lower: ..."] message. So does a load class whose row hull or
+    lane hull of needed shifts (see {!store_row}) leaves the min/max
+    offsets its field carries in the access table along that dimension
+    (among the entries of the class) — the proof that the tape's
+    unchecked reads stay inside the bounding box of the expression's
+    own read set, which {!check} and the schedule gate prove in bounds
+    one dimension at a time. *)
 
 val plan_of : bound -> Plan.t
 
 val tape_counts : bound -> (int * int) option
 (** [Some (nodes, loads)]: the operator nodes and load classes of a
-    postfix body's tape, after shift-class numbering; [None] for an
+    postfix body's tape, after 2-D shift-class numbering — what a
+    streamed row computes, one leading row per class; [None] for an
     FMA-chain body. Read-only — for tests and reports. *)
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -85,17 +97,21 @@ val raw_of : bound -> raw
 
 type driver
 (** Per-region mutable scratch over a shared {!bound} (slot row bases,
-    coordinate scratch, the tape's registers: one line buffer of
-    strip + span lanes per class, constants filled once here; each a
-    minor-heap block while spans stay within 192 lanes). Not
-    thread-safe; allocate one per concurrent region. *)
+    coordinate scratch, the tape's rings: per strip position of the
+    widest segment stored so far, per class, one line buffer of
+    strip + span lanes per row of its row hull, constants filled at
+    allocation; each buffer a minor-heap block while spans stay within
+    128 lanes, so a driver never calls [malloc]). Not thread-safe;
+    allocate one per concurrent region. *)
 
 val driver : bound -> driver
 
 val set_row : driver -> int array -> unit
 (** [set_row drv outer] positions the driver on the row selected by the
     [rank - 1] leading interior coordinates (empty for rank 1):
-    computes every slot's and the output's flat row base. *)
+    computes every slot's and the output's flat row base, and records
+    the coordinates {!store_row} compares with the rows its rings
+    hold. *)
 
 val driver_row : driver -> int array
 (** The driver's per-slot flat row bases (the array {!set_row} fills;
@@ -106,11 +122,12 @@ val driver_out_row : driver -> int
 
 val eval : driver -> int -> float
 (** Value at last-dimension coordinate [x] of the current row: the
-    tape run on a strip of one point, allocating nothing (the traced and
-    sanitized paths). One traced point still computes every class over
-    its whole hull, so it reads the loads' hull lanes around [x], not
-    only the access-table entries the trace reports. No bounds checks —
-    see {!store_row}. *)
+    tape restarted on a strip of one point, allocating nothing (the
+    traced and sanitized paths). One traced point still computes every
+    class over its whole row and lane hulls, so it reads the loads'
+    hull rectangle around [x], not only the access-table entries the
+    trace reports. It uses the first strip position's rings, so the
+    next {!store_row} restarts. No bounds checks — see {!store_row}. *)
 
 val out_offset : driver -> int -> int
 (** Flat element offset of the output point at [x]. *)
@@ -125,14 +142,27 @@ val read_addr : driver -> int -> int -> int
 val store_row : driver -> int -> int -> unit
 (** [store_row drv xb xe]: evaluate and store every point of the
     current row with [xb <= x < xe] — the untraced hot path, row bases
-    hoisted. A postfix body runs strip by strip (64 points): a backward
-    pass at bind time gave every class the hull [\[lo, hi\]] of shifts
-    its users need it at, so over a strip of [n] points each load class
-    and then each node runs over [n + hi - lo] lanes, reading each
-    operand at one fixed lane offset, before the next one; then the
-    strip is stored. Every strip loop is unrolled by four with a scalar
-    remainder. An FMA-chain body runs one monomorphic loop per point.
-    The output index advances incrementally on unit-stride layouts. No
-    bounds checks: the caller must have gated the region (legal
-    interior regions are always safe because grid left padding covers
-    the halo). *)
+    hoisted. A postfix body runs strip by strip (128 points): a
+    backward pass at bind time gave every class a row hull
+    [\[rlo, rhi\]] and a lane hull [\[lo, hi\]] of the shifts its users
+    need it at, so over a strip of [n] points each load class and then
+    each node fills rows of [n + hi - lo] lanes, reading each operand
+    at one fixed row and lane offset; then the strip is stored. Each
+    strip position of the segment has its own rings, one buffer per
+    row of a class's row hull.
+
+    Continue or restart: if the previous [store_row] on this driver
+    stored the same [\[xb, xe)] one row earlier along dimension
+    [rank - 2], with every other leading coordinate equal and no
+    {!eval} since, the rings rotate by one row and each class computes
+    only its row [rhi]; the rows it reuses are the ones the previous
+    calls computed, which assumes the inputs did not change in
+    between (a driver lives for one sweep). Otherwise — the first row
+    of a block, a row jump or repeat, a changed segment, a rank-3
+    stream moving to the next z, an empty segment — every class
+    computes its whole row hull. Every strip loop is unrolled by four
+    with a scalar remainder. An FMA-chain body runs one monomorphic
+    loop per point. The output index advances incrementally on
+    unit-stride layouts. No bounds checks: the caller must have gated
+    the region (legal interior regions are always safe because grid
+    left padding covers the halo). *)

@@ -24,6 +24,7 @@ module Sweep = Yasksite_engine.Sweep
 module Wavefront = Yasksite_engine.Wavefront
 module Sanitizer = Yasksite_engine.Sanitizer
 module Prng = Yasksite_util.Prng
+module Pool = Yasksite_util.Pool
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -147,7 +148,7 @@ let traced_backend_parity =
 (* The shift-classed tape behind Program bodies.                       *)
 
 (* The strip length the interpreter batches rows into. *)
-let strip = 64
+let strip = 128
 
 (* Row-major iteration over the box [lo, hi). *)
 let iter_box lo hi f =
@@ -181,19 +182,26 @@ let same_bits a b =
 (* A random expression shaped like [Program.fuse] output: a few
    producer subtrees, each substituted at shifted offsets, so equal
    subterms recur (at least one use appears twice verbatim) and value
-   numbering has work to do. With [x_only] the uses shift along the last
-   dimension only, as the flux stages of a fused hdiff read a Laplacian
-   at x-1, x and x+1: those uses differ only by a shift, so they merge
-   into one shift class read at several lane offsets. Every operator is
-   drawn, division included: infinities and NaNs must reproduce to the
-   bit as well. *)
-let fused_expr rng ~rank ~n_fields ~x_only =
+   numbering has work to do. [shifts] says where the uses shift:
+   [`Any] along every dimension by -1..1; [`Lanes] along the last
+   dimension only by -2..2, as the flux stages of a fused hdiff read a
+   Laplacian at x-1, x and x+1; [`Plane] along the last two dimensions
+   by -2..2, as a fused hdiff output stage reads fluxes at y-1 and x-1.
+   Uses that differ only by a shift along the row and lane dimensions
+   merge into one shift class, whose rows the interpreter keeps in a
+   ring while it streams. Every operator is drawn, division included:
+   infinities and NaNs must reproduce to the bit as well. *)
+let fused_expr rng ~rank ~n_fields ~shifts =
   let off () = Array.init rank (fun _ -> Prng.int rng ~bound:3 - 1) in
   let use_off () =
-    if x_only then
-      Array.init rank (fun d ->
-          if d = rank - 1 then Prng.int rng ~bound:5 - 2 else 0)
-    else off ()
+    match shifts with
+    | `Any -> off ()
+    | `Lanes ->
+        Array.init rank (fun d ->
+            if d = rank - 1 then Prng.int rng ~bound:5 - 2 else 0)
+    | `Plane ->
+        Array.init rank (fun d ->
+            if d >= rank - 2 then Prng.int rng ~bound:5 - 2 else 0)
   in
   let leaf () =
     if Prng.int rng ~bound:4 = 0 then
@@ -260,9 +268,12 @@ let row_length rng =
       (4 * ((strip / 4) - 2 + Prng.int rng ~bound:5))
       + if Prng.bool rng then 1 else -1
 
-(* Row strips and traced points against the oracle, on plain and on
-   extended sweeps. An extended sweep ([Sweep.run ~extend], the program
-   executor's way of computing a stage into its halo) gets every input
+(* Row strips, pooled row strips, traced points and a hand-driven walk
+   over the rows against the oracle, on plain and on extended sweeps.
+   Rows stream through the rings over up to 9 rows per block column;
+   rank-3 configs block y as well, so every stream restarts at each
+   y-block and each z. An extended sweep ([Sweep.run ~extend], the
+   program executor's way of computing a stage into its halo) gets every input
    halo at exactly the gated minimum — the field's read radius plus the
    extension — so the class hulls of the outermost points reach the
    edge of the allocation. Halos hold random values too, so a lane
@@ -271,15 +282,19 @@ let tape_matches_oracle ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let n_fields = 1 + Prng.int rng ~bound:2 in
-  let x_only = Prng.bool rng in
+  let shifts =
+    match Prng.int rng ~bound:3 with 0 -> `Any | 1 -> `Lanes | _ -> `Plane
+  in
   let spec =
     Spec.v ~name:"fused" ~rank ~n_fields
-      (fused_expr rng ~rank ~n_fields ~x_only)
+      (fused_expr rng ~rank ~n_fields ~shifts)
   in
   let info = Analysis.of_spec spec in
   let dims =
     Array.init rank (fun i ->
-        if i < rank - 1 then 1 + Prng.int rng ~bound:4 else row_length rng)
+        if i = rank - 1 then row_length rng
+        else if i = rank - 2 then 1 + Prng.int rng ~bound:9
+        else 1 + Prng.int rng ~bound:3)
   in
   let extend =
     if Prng.int rng ~bound:3 = 0 then
@@ -334,16 +349,135 @@ let tape_matches_oracle ~seed =
   ignore
     (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg ?extend spec ~inputs
        ~output:rows);
+  let pooled = Grid.create ~halo ~layout ~dims () in
+  Pool.with_pool ~domains:2 (fun pool ->
+      ignore
+        (Sweep.run ~pool ~backend:Sweep.Plan_backend ~config:cfg ?extend spec
+           ~inputs ~output:pooled));
   let points = Grid.create ~halo ~layout ~dims () in
   ignore
     (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg ?extend
        ~trace:(Hierarchy.create Machine.test_chip) spec ~inputs ~output:points);
-  same_bits_in lo hi rows expected && same_bits_in lo hi points expected
+  (* The same bound driven by hand off the sweep's order: streams broken
+     by row jumps and repeats, segments changed at either end, one-point
+     evals in between. Every step must match the oracle. *)
+  let walked = Grid.create ~halo ~layout ~dims () in
+  let drv =
+    Lower.driver (Lower.bind (Lower.lower spec) ~inputs ~output:walked)
+  in
+  let r1 = rank - 1 in
+  let outer = Array.sub lo 0 r1 and xb = ref lo.(r1) and xe = ref hi.(r1) in
+  let between a b = a + Prng.int rng ~bound:(b - a) in
+  let walk_ok = ref true in
+  for _ = 1 to 24 do
+    (if Prng.int rng ~bound:4 = 0 then
+       Array.iteri (fun d _ -> outer.(d) <- between lo.(d) hi.(d)) outer
+     else if r1 > 0 then
+       outer.(r1 - 1) <- min (hi.(r1 - 1) - 1) (outer.(r1 - 1) + 1));
+    (match Prng.int rng ~bound:4 with
+    | 0 -> xb := between lo.(r1) !xe
+    | 1 -> xe := between !xb hi.(r1) + 1
+    | _ -> ());
+    Lower.set_row drv outer;
+    let same idx v =
+      Int64.equal (Int64.bits_of_float v)
+        (Int64.bits_of_float (Grid.get expected idx))
+    in
+    if Prng.int rng ~bound:8 = 0 then begin
+      let x = between !xb !xe in
+      if not (same (Array.append outer [| x |]) (Lower.eval drv x)) then
+        walk_ok := false
+    end
+    else begin
+      Lower.store_row drv !xb !xe;
+      for x = !xb to !xe - 1 do
+        let idx = Array.append outer [| x |] in
+        if not (same idx (Grid.get walked idx)) then walk_ok := false
+      done
+    end
+  done;
+  same_bits_in lo hi rows expected
+  && same_bits_in lo hi pooled expected
+  && same_bits_in lo hi points expected
+  && !walk_ok
 
 let tape_property =
   QCheck.Test.make
     ~name:"tape: row strips and traced points bit-reproduce the oracle"
     ~count:300 QCheck.small_int (fun seed -> tape_matches_oracle ~seed)
+
+(* The rings outside the sweep's order: [Lower.set_row]/[store_row]
+   driven by hand over rows that do not stream — backwards, skipping,
+   repeating a row, changing [xb] or [xe], a rank-3 row whose y follows
+   the last but whose z does not, a one-point [eval] in between — must
+   restart rather than reuse a stale ring. Each step is checked against
+   the oracle right after the call. *)
+let test_tape_row_orders () =
+  let run name spec ~dims steps =
+    let halo = Analysis.halo (Analysis.of_spec spec) in
+    let inputs =
+      Array.init spec.Spec.n_fields (fun f ->
+          let g = Grid.create ~halo ~dims () in
+          let vals = Prng.create ~seed:(31 + f) in
+          iter_box (Array.map ( ~- ) halo)
+            (Array.mapi (fun d n -> n + halo.(d)) dims)
+            (fun idx ->
+              Grid.set g idx (Prng.float_range vals ~lo:(-1.0) ~hi:1.0));
+          g)
+    in
+    let output = Grid.create ~halo ~dims () in
+    let drv = Lower.driver (Lower.bind (Lower.lower spec) ~inputs ~output) in
+    let check i outer x got =
+      let idx = Array.append outer [| x |] in
+      let want = Oracle.point spec ~inputs idx in
+      if not (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want))
+      then
+        Alcotest.failf "%s, step %d: point (%s) is %h, the oracle says %h"
+          name i
+          (String.concat "," (Array.to_list (Array.map string_of_int idx)))
+          got want
+    in
+    List.iteri
+      (fun i (step, outer) ->
+        Lower.set_row drv outer;
+        match step with
+        | `Row (xb, xe) ->
+            Lower.store_row drv xb xe;
+            for x = xb to xe - 1 do
+              check i outer x (Grid.get output (Array.append outer [| x |]))
+            done
+        | `Point x -> check i outer x (Lower.eval drv x))
+      steps
+  in
+  let nx = strip + 22 in
+  let row y xb xe = (`Row (xb, xe), [| y |]) in
+  let all y = row y 0 nx in
+  let uout =
+    let module P = Yasksite_stencil.Program in
+    let p = P.fuse Suite.hdiff ~inline:(P.inlinable Suite.hdiff) in
+    P.stage_spec p (Option.get (P.find_stage p "uout"))
+  in
+  run "fused hdiff uout" uout ~dims:[| 12; nx |]
+    [ all 0; all 1; all 2; (* a stream *)
+      all 7; all 6; all 5; (* backwards *)
+      all 6; all 8; all 10; (* skipping *)
+      all 10; all 10; (* repeating *)
+      all 0; row 1 3 nx; row 2 3 (nx - 5); row 3 0 (nx - 5); all 4;
+      (* a changed segment *)
+      all 5; (`Point 7, [| 5 |]); all 6; (* an eval in between *)
+      all 7; (`Point (nx - 1), [| 8 |]); all 8;
+      row 9 (strip - 1) (strip + 2); row 10 (strip - 1) (strip + 2);
+      row 11 (strip - 1) (strip + 2) ];
+  let rank = 3 in
+  let spec =
+    Spec.v ~name:"fused3" ~rank ~n_fields:2
+      (fused_expr (Prng.create ~seed:5) ~rank ~n_fields:2 ~shifts:`Plane)
+  in
+  let at z y = (`Row (0, nx), [| z; y |]) in
+  run "rank-3 fused" spec ~dims:[| 3; 7; nx |]
+    [ at 0 0; at 0 1; at 0 2; (* a stream *)
+      at 1 3; at 1 4; (* y follows on, z does not *)
+      at 2 0; at 2 1; at 1 2; at 1 3; at 0 4; at 0 5; at 0 6 ]
 
 (* Constants are numbered by bit pattern: [0.0] and [-0.0], and two NaNs
    with different payloads, are distinct registers. Merging either pair
@@ -387,11 +521,13 @@ let test_tape_constant_bits () =
     [ ("signed zeros", 0.0, -0.0); ("NaN payloads", nan1, nan2) ]
 
 (* The structural win of shift classes, pinned: a fused hdiff output
-   stage reads each Laplacian and flux subterm at up to three shifts
-   along x, which value numbering alone kept as separate nodes (46
-   nodes, 14 loads); shift classes merge them. The unfused limiter
-   stage merges only its loads. Losing the shift matching would still
-   pass every bit-identity test, so the counts are the guard. *)
+   stage reads each Laplacian and flux subterm at shifts along y and x,
+   which value numbering alone kept as separate nodes (46 nodes, 14
+   loads) and x-only shift classes merged only along x (32, 6); 2-D
+   shift classes merge them all, so a streamed row computes 18 nodes
+   and 2 loads per point. The unfused limiter stage merges only its
+   loads. Losing the shift matching would still pass every
+   bit-identity test, so the counts are the guard. *)
 let test_hdiff_tape_counts () =
   let module P = Yasksite_stencil.Program in
   let counts prog name =
@@ -409,7 +545,7 @@ let test_hdiff_tape_counts () =
   Array.iter
     (fun out ->
       Alcotest.(check (option (pair int int)))
-        ("fused " ^ out ^ ": (nodes, loads)") (Some (32, 6)) (counts fused out))
+        ("fused " ^ out ^ ": (nodes, loads)") (Some (18, 2)) (counts fused out))
     p.P.outputs;
   Alcotest.(check (option (pair int int)))
     "unfused ufli: (nodes, loads)" (Some (4, 2)) (counts p "ufli");
@@ -614,6 +750,8 @@ let suite =
     qt wavefront_backend_parity;
     qt traced_backend_parity;
     qt tape_property;
+    Alcotest.test_case "tape rings restart off the streaming order" `Quick
+      test_tape_row_orders;
     Alcotest.test_case "tape keeps signed zeros and NaN payloads apart"
       `Quick test_tape_constant_bits;
     Alcotest.test_case "shift classes shrink the fused hdiff tapes" `Quick
