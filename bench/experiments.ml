@@ -363,15 +363,15 @@ let ode_case machine (pde : Ode.Pde.t) tab threads =
   in
   List.iter
     (fun (c : Offsite.candidate) ->
+      let measured = Option.get c.Offsite.measured_step_seconds in
       Table.add_row tbl
         [ scheme_name c.Offsite.variant.Offsite.Variant.scheme;
           (if c.Offsite.tuned then "yes" else "no");
           string_of_int (Offsite.Variant.sweeps_per_step c.Offsite.variant);
           Table.cell_f ~prec:3 (1e3 *. c.Offsite.predicted_step_seconds);
-          Table.cell_f ~prec:3 (1e3 *. c.Offsite.measured_step_seconds);
+          Table.cell_f ~prec:3 (1e3 *. measured);
           Table.cell_pct
-            (err ~predicted:c.Offsite.predicted_step_seconds
-               ~measured:c.Offsite.measured_step_seconds) ])
+            (err ~predicted:c.Offsite.predicted_step_seconds ~measured) ])
     candidates;
   Table.print tbl;
   let q = Offsite.quality candidates in
@@ -408,7 +408,8 @@ let ode_case_mixed machine (pde : Ode.Pde.t) tab threads =
           (if c.Offsite.tuned then "yes" else "no");
           string_of_int (Offsite.Variant.sweeps_per_step c.Offsite.variant);
           Table.cell_f ~prec:3 (1e3 *. c.Offsite.predicted_step_seconds);
-          Table.cell_f ~prec:3 (1e3 *. c.Offsite.measured_step_seconds) ])
+          Table.cell_f ~prec:3
+            (1e3 *. Option.get c.Offsite.measured_step_seconds) ])
     candidates;
   Table.print tbl;
   let q = Offsite.quality candidates in
@@ -523,6 +524,17 @@ let e12 () =
       Ode.Tableau.dopri5 ]
   in
   let choices = Offsite.rank_methods clx pde methods ~threads:4 in
+  (* The ranking is model-only; measure each method's winner to
+     validate it. *)
+  let measured =
+    List.map
+      (fun (c : Offsite.method_choice) ->
+        Option.get
+          (Offsite.measure clx pde c.Offsite.candidate)
+            .Offsite.measured_step_seconds
+        *. (1.0 /. c.Offsite.h_stable))
+      choices
+  in
   let tbl =
     Table.create
       ~title:
@@ -534,8 +546,8 @@ let e12 () =
           ("pred s/unit", Table.Right); ("meas s/unit", Table.Right) ]
       ()
   in
-  List.iter
-    (fun (c : Offsite.method_choice) ->
+  List.iter2
+    (fun (c : Offsite.method_choice) meas ->
       Table.add_row tbl
         [ c.Offsite.tableau.Ode.Tableau.name;
           string_of_int c.Offsite.tableau.Ode.Tableau.order;
@@ -543,17 +555,14 @@ let e12 () =
           scheme_name c.Offsite.candidate.Offsite.variant.Offsite.Variant.scheme
           ^ (if c.Offsite.candidate.Offsite.tuned then "+tuned" else "");
           Table.cell_f c.Offsite.predicted_time_per_unit;
-          Table.cell_f c.Offsite.measured_time_per_unit ])
-    choices;
+          Table.cell_f meas ])
+    choices measured;
   Table.print tbl;
   let pred =
     Array.of_list
       (List.map (fun c -> c.Offsite.predicted_time_per_unit) choices)
   in
-  let meas =
-    Array.of_list
-      (List.map (fun c -> c.Offsite.measured_time_per_unit) choices)
-  in
+  let meas = Array.of_list measured in
   Printf.printf
     "method-ranking kendall tau %.2f, top-1 %s (note: stability-limited \
      cost only; accuracy orders differ)\n"
@@ -578,6 +587,15 @@ let e13 () =
         Offsite.rank_methods_at_accuracy clx pde methods ~t_end:0.002 ~tol
           ~threads:4
       in
+      let measured =
+        List.map
+          (fun (c : Offsite.accuracy_choice) ->
+            float_of_int c.Offsite.steps
+            *. Option.get
+                 (Offsite.measure clx pde c.Offsite.candidate_a)
+                   .Offsite.measured_step_seconds)
+          choices
+      in
       let tbl =
         Table.create
           ~title:
@@ -590,8 +608,8 @@ let e13 () =
               ("meas ms", Table.Right) ]
           ()
       in
-      List.iter
-        (fun (c : Offsite.accuracy_choice) ->
+      List.iter2
+        (fun (c : Offsite.accuracy_choice) meas ->
           Table.add_row tbl
             [ c.Offsite.tableau_a.Ode.Tableau.name;
               string_of_int c.Offsite.tableau_a.Ode.Tableau.order;
@@ -600,15 +618,13 @@ let e13 () =
               scheme_name
                 c.Offsite.candidate_a.Offsite.variant.Offsite.Variant.scheme;
               Table.cell_f (1e3 *. c.Offsite.predicted_seconds);
-              Table.cell_f (1e3 *. c.Offsite.measured_seconds) ])
-        choices;
+              Table.cell_f (1e3 *. meas) ])
+        choices measured;
       Table.print tbl;
       let pred =
         Array.of_list (List.map (fun c -> c.Offsite.predicted_seconds) choices)
       in
-      let meas =
-        Array.of_list (List.map (fun c -> c.Offsite.measured_seconds) choices)
-      in
+      let meas = Array.of_list measured in
       Printf.printf "  kendall tau %.2f, top-1 %s\n\n"
         (Stats.kendall_tau pred meas)
         (if Stats.top1_agrees ~better_is_lower:true pred meas then "correct"

@@ -38,7 +38,7 @@ let () =
           (if c.Offsite.tuned then "yes" else "no");
           string_of_int (Offsite.Variant.sweeps_per_step c.Offsite.variant);
           Table.cell_f (1e6 *. c.Offsite.predicted_step_seconds);
-          Table.cell_f (1e6 *. c.Offsite.measured_step_seconds) ])
+          Table.cell_f (1e6 *. Option.get c.Offsite.measured_step_seconds) ])
     candidates;
   Table.print tbl;
   let q = Offsite.quality candidates in

@@ -177,10 +177,10 @@ let last_dim_offsets t =
     let f = t.fold.(last) in
     Array.init n (fun c -> (c / f * t.lanes) + (c mod f))
 
-let row_base t idx =
+(* [row_base] without the length check: reads only the first [rank-1]
+   entries of [idx], so a full coordinate array can be passed. *)
+let row_base_of t idx =
   let r = rank t in
-  if Array.length idx <> r - 1 then
-    invalid_arg "Grid.row_base: expected rank-1 outer coordinates";
   match t.layout with
   | Linear ->
       let acc = ref 0 in
@@ -196,6 +196,11 @@ let row_base t idx =
         o := (!o * t.fold.(i)) + (c mod t.fold.(i))
       done;
       (!b * t.blocks.(r - 1) * t.lanes) + (!o * t.fold.(r - 1))
+
+let row_base t idx =
+  if Array.length idx <> rank t - 1 then
+    invalid_arg "Grid.row_base: expected rank-1 outer coordinates";
+  row_base_of t idx
 
 (* Row-major iteration over the box [0, extents). *)
 let iter_box extents ~f =
@@ -213,8 +218,32 @@ let iter_box extents ~f =
 
 let iter_interior t ~f = iter_box t.dims ~f
 
+(* Row-major iteration over the rows of the box [lo, hi) in every
+   dimension but the last: [f idx] runs once per row with idx.(0) ..
+   idx.(rank-2) set, and leaves the last coordinate to [f]. *)
+let iter_rows idx ~lo ~hi ~f =
+  let last = Array.length idx - 1 in
+  let rec go d =
+    if d = last then f idx
+    else
+      for i = lo.(d) to hi.(d) - 1 do
+        idx.(d) <- i;
+        go (d + 1)
+      done
+  in
+  go 0
+
 let fill t ~f =
-  iter_interior t ~f:(fun idx -> set t idx (f idx))
+  let last = rank t - 1 in
+  let tab = last_dim_offsets t and lp = t.left_pad.(last) in
+  let n = t.dims.(last) in
+  iter_rows (Array.make (rank t) 0) ~lo:(Array.make (rank t) 0) ~hi:t.dims
+    ~f:(fun idx ->
+      let base = row_base_of t idx in
+      for x = 0 to n - 1 do
+        idx.(last) <- x;
+        Bigarray.Array1.unsafe_set t.data (base + tab.(x + lp)) (f idx)
+      done)
 
 let fill_all t v = Bigarray.Array1.fill t.data v
 
@@ -222,27 +251,37 @@ let copy_interior ~src ~dst =
   if src.dims <> dst.dims then invalid_arg "Grid.copy_interior: dims mismatch";
   iter_interior src ~f:(fun idx -> set dst idx (get src idx))
 
-(* Iterate over all points of the total box (interior + halo) in interior
-   coordinates, i.e. each coordinate ranges over [-halo, dim + halo). *)
-let iter_total t ~f =
-  let idx = Array.make (rank t) 0 in
-  let rec go d =
-    if d = rank t then f idx
-    else
-      for i = -t.halo.(d) to t.dims.(d) + t.halo.(d) - 1 do
-        idx.(d) <- i;
-        go (d + 1)
-      done
+(* Visit the halo cells only, row by row: a row of the total box whose
+   outer coordinates leave the interior is halo end to end; an interior
+   row has halo only in its two last-dimension strips. [f idx ~dst]
+   gets each halo cell's coordinates and flat offset. *)
+let iter_halo t ~f =
+  let r = rank t in
+  let last = r - 1 in
+  let tab = last_dim_offsets t and lp = t.left_pad.(last) in
+  let n = t.dims.(last) and h = t.halo.(last) in
+  let cells idx base lo hi =
+    for x = lo to hi - 1 do
+      idx.(last) <- x;
+      f idx ~dst:(base + tab.(x + lp))
+    done
   in
-  go 0
-
-let is_interior t idx =
-  let ok = ref true in
-  Array.iteri (fun i x -> if x < 0 || x >= t.dims.(i) then ok := false) idx;
-  !ok
+  iter_rows (Array.make r 0) ~lo:(Array.map (fun h -> -h) t.halo)
+    ~hi:(Array.mapi (fun i d -> d + t.halo.(i)) t.dims)
+    ~f:(fun idx ->
+      let base = row_base_of t idx in
+      let inside = ref true in
+      for i = 0 to last - 1 do
+        if idx.(i) < 0 || idx.(i) >= t.dims.(i) then inside := false
+      done;
+      if !inside then begin
+        cells idx base (-h) 0;
+        cells idx base n (n + h)
+      end
+      else cells idx base (-h) (n + h))
 
 let halo_dirichlet t v =
-  iter_total t ~f:(fun idx -> if not (is_interior t idx) then set t idx v)
+  iter_halo t ~f:(fun _ ~dst -> Bigarray.Array1.unsafe_set t.data dst v)
 
 let halo_periodic t =
   Array.iteri
@@ -250,16 +289,22 @@ let halo_periodic t =
       if h > t.dims.(i) then
         invalid_arg "Grid.halo_periodic: halo wider than interior")
     t.halo;
-  let wrapped = Array.make (rank t) 0 in
-  iter_total t ~f:(fun idx ->
-      if not (is_interior t idx) then begin
-        Array.iteri
-          (fun i x ->
-            let d = t.dims.(i) in
-            wrapped.(i) <- ((x mod d) + d) mod d)
-          idx;
-        set t idx (get t wrapped)
-      end)
+  (* Halo never exceeds the interior, so one wrap lands every source in
+     the interior, which this refresh never writes. *)
+  let wrap i x =
+    if x < 0 then x + t.dims.(i) else if x >= t.dims.(i) then x - t.dims.(i)
+    else x
+  in
+  let last = rank t - 1 in
+  let tab = last_dim_offsets t and lp = t.left_pad.(last) in
+  let src = Array.make (rank t) 0 in
+  iter_halo t ~f:(fun idx ~dst ->
+      for i = 0 to last - 1 do
+        src.(i) <- wrap i idx.(i)
+      done;
+      let off = row_base_of t src + tab.(wrap last idx.(last) + lp) in
+      Bigarray.Array1.unsafe_set t.data dst
+        (Bigarray.Array1.unsafe_get t.data off))
 
 let max_abs_diff a b =
   if a.dims <> b.dims then invalid_arg "Grid.max_abs_diff: dims mismatch";

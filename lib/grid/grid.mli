@@ -111,7 +111,10 @@ val row_base : t -> int array -> int
     For rank-1 grids [outer] is empty and the result is [0]. *)
 
 val fill : t -> f:(int array -> float) -> unit
-(** Set every interior point from its coordinates. *)
+(** Set every interior point from its coordinates. [f] runs exactly
+    once per interior point, in {!iter_interior} order, on one reused
+    coordinate array (copy it to keep it). Halo and padding are left
+    untouched. *)
 
 val fill_all : t -> float -> unit
 (** Set every allocated element (interior, halo and padding). *)
@@ -124,10 +127,13 @@ val copy_interior : src:t -> dst:t -> unit
     differ). *)
 
 val halo_dirichlet : t -> float -> unit
-(** Set all halo points to a constant. *)
+(** Set all halo points to a constant. Visits the halo cells only: the
+    interior and the fold padding are untouched. *)
 
 val halo_periodic : t -> unit
-(** Fill the halo by periodic wrap-around of the interior. Requires
+(** Fill the halo by periodic wrap-around of the interior (every halo
+    cell takes the interior cell its coordinates wrap to, per
+    dimension). Visits the halo cells only. Requires
     [halo.(i) <= dims.(i)]. *)
 
 val max_abs_diff : t -> t -> float

@@ -17,7 +17,7 @@ type candidate = {
   tuned : bool;
   configs : (string * Config.t) list;
   predicted_step_seconds : float;
-  measured_step_seconds : float;
+  measured_step_seconds : float option;
 }
 
 (* Persistent memo of [best_static_config] outcomes: the ranking is a
@@ -91,28 +91,39 @@ let score ?(cache = Cache.shared) ?store ?pool m (pde : Pde.t)
           else Config.v ~threads ()
         in
         let prediction = Cache.predict cache m info ~dims ~config in
-        let measured = Measure.stencil_sweep m k.Variant.spec ~dims ~config in
-        ( k.Variant.label,
-          config,
-          points /. prediction.Model.lups_chip,
-          points /. measured.Measure.lups_chip ))
+        (k.Variant.label, config, points /. prediction.Model.lups_chip))
       variant.Variant.kernels
   in
   { variant;
     tuned;
-    configs = List.map (fun (l, c, _, _) -> (l, c)) per_kernel;
+    configs = List.map (fun (l, c, _) -> (l, c)) per_kernel;
     predicted_step_seconds =
-      List.fold_left (fun acc (_, _, p, _) -> acc +. p) 0.0 per_kernel;
-    measured_step_seconds =
-      List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0.0 per_kernel }
+      List.fold_left (fun acc (_, _, p) -> acc +. p) 0.0 per_kernel;
+    measured_step_seconds = None }
 
+let measure m (pde : Pde.t) c =
+  let dims = pde.Pde.dims in
+  let points = float_of_int (Array.fold_left ( * ) 1 dims) in
+  let seconds =
+    List.fold_left2
+      (fun acc (k : Variant.kernel) (_, config) ->
+        let measured = Measure.stencil_sweep m k.Variant.spec ~dims ~config in
+        acc +. (points /. measured.Measure.lups_chip))
+      0.0 c.variant.Variant.kernels c.configs
+  in
+  { c with measured_step_seconds = Some seconds }
+
+(* Score every variant naive and tuned, sorted by prediction; [measured]
+   also runs each candidate on the simulated machine (validation only:
+   the order never reads it). *)
 let evaluate_variants ?(cache = Cache.shared) ?store ?pool m pde variants
-    ~threads =
+    ~threads ~measured =
   let jobs =
     List.concat_map (fun v -> [ (v, false); (v, true) ]) variants
   in
   let score_one (v, tuned) =
-    score ~cache ?store ?pool m pde v ~threads ~tuned
+    let c = score ~cache ?store ?pool m pde v ~threads ~tuned in
+    if measured then measure m pde c else c
   in
   let candidates =
     (* Scoring is deterministic per candidate (each measurement owns its
@@ -129,10 +140,11 @@ let evaluate_variants ?(cache = Cache.shared) ?store ?pool m pde variants
 let evaluate_mixed ?cache ?store ?pool m pde tab ~h ~threads =
   evaluate_variants ?cache ?store ?pool m pde
     (Variant.all_mixed tab pde ~h)
-    ~threads
+    ~threads ~measured:true
 
 let evaluate ?cache ?store ?pool m pde tab ~h ~threads =
-  evaluate_variants ?cache ?store ?pool m pde (Variant.all tab pde ~h) ~threads
+  evaluate_variants ?cache ?store ?pool m pde (Variant.all tab pde ~h)
+    ~threads ~measured:true
 
 type quality = {
   kendall : float;
@@ -145,19 +157,22 @@ type quality = {
 let quality candidates =
   if List.length candidates < 2 then
     invalid_arg "Offsite.quality: need at least two candidates";
+  let meas c =
+    match c.measured_step_seconds with
+    | Some s -> s
+    | None -> invalid_arg "Offsite.quality: candidate not measured"
+  in
   let predicted =
     Array.of_list (List.map (fun c -> c.predicted_step_seconds) candidates)
   in
-  let measured =
-    Array.of_list (List.map (fun c -> c.measured_step_seconds) candidates)
-  in
+  let measured = Array.of_list (List.map meas candidates) in
   let baseline =
     match
       List.find_opt
         (fun c -> c.variant.Variant.scheme = `Unfused && not c.tuned)
         candidates
     with
-    | Some c -> c.measured_step_seconds
+    | Some c -> meas c
     | None -> measured.(0)
   in
   let selected =
@@ -178,8 +193,8 @@ let quality candidates =
   { kendall = Yasksite_util.Stats.kendall_tau predicted measured;
     top1 =
       Yasksite_util.Stats.top1_agrees ~better_is_lower:true predicted measured;
-    speedup_selected = baseline /. selected.measured_step_seconds;
-    selected_gap = (selected.measured_step_seconds /. best_measured) -. 1.0;
+    speedup_selected = baseline /. meas selected;
+    selected_gap = (meas selected /. best_measured) -. 1.0;
     mean_abs_error = Yasksite_util.Stats.mean errors }
 
 type method_choice = {
@@ -187,7 +202,6 @@ type method_choice = {
   candidate : candidate;
   h_stable : float;
   predicted_time_per_unit : float;
-  measured_time_per_unit : float;
 }
 
 (* Dominant |eigenvalue| of the (linearised) RHS by power iteration on
@@ -225,6 +239,7 @@ let rank_methods m (pde : Pde.t) tableaux ~threads =
         let h_stable = 0.9 *. Tableau.real_stability_interval tab /. rho in
         let candidates =
           evaluate_variants m pde (Variant.all tab pde ~h:h_stable) ~threads
+            ~measured:false
         in
         let candidate = List.hd candidates in
         let steps_per_unit = 1.0 /. h_stable in
@@ -232,9 +247,7 @@ let rank_methods m (pde : Pde.t) tableaux ~threads =
           candidate;
           h_stable;
           predicted_time_per_unit =
-            candidate.predicted_step_seconds *. steps_per_unit;
-          measured_time_per_unit =
-            candidate.measured_step_seconds *. steps_per_unit })
+            candidate.predicted_step_seconds *. steps_per_unit })
       tableaux
   in
   List.sort
@@ -248,7 +261,6 @@ type accuracy_choice = {
   h_used : float;
   achieved_error : float;
   predicted_seconds : float;
-  measured_seconds : float;
 }
 
 let max_norm_diff a b =
@@ -295,6 +307,7 @@ let rank_methods_at_accuracy m (pde : Pde.t) tableaux ~t_end ~tol ~threads =
         let h_used = t_end /. float_of_int steps in
         let candidates =
           evaluate_variants m pde (Variant.all tab pde ~h:h_used) ~threads
+            ~measured:false
         in
         let candidate_a = List.hd candidates in
         { tableau_a = tab;
@@ -303,9 +316,14 @@ let rank_methods_at_accuracy m (pde : Pde.t) tableaux ~t_end ~tol ~threads =
           h_used;
           achieved_error;
           predicted_seconds =
-            float_of_int steps *. candidate_a.predicted_step_seconds;
-          measured_seconds =
-            float_of_int steps *. candidate_a.measured_step_seconds })
+            float_of_int steps *. candidate_a.predicted_step_seconds })
       tableaux
   in
-  List.sort (fun a b -> compare a.predicted_seconds b.predicted_seconds) choices
+  (* A method whose doublings ran out before meeting [tol] is no answer
+     to the question, however cheap: every miss ranks after every
+     choice that met it. *)
+  let missed c = not (c.achieved_error <= tol) in
+  List.sort
+    (fun a b ->
+      compare (missed a, a.predicted_seconds) (missed b, b.predicted_seconds))
+    choices

@@ -3,14 +3,21 @@
     performance prediction from YaskSite's ECM model (optionally with
     analytically tuned kernel configurations), rank the variants, and
     validate the ranking against measurements — the paper's integration
-    experiment. *)
+    experiment.
+
+    Decisions are model-only: {!score}, {!rank_methods} and
+    {!rank_methods_at_accuracy} never run a kernel on the cache
+    simulator. Measuring is a separate, explicit step ({!measure}); the
+    validation entry points {!evaluate} and {!evaluate_mixed} take it
+    for every candidate they return. *)
 
 type candidate = {
   variant : Variant.t;
   tuned : bool;  (** kernel configs chosen by the analytic advisor *)
   configs : (string * Yasksite_ecm.Config.t) list;  (** per kernel label *)
   predicted_step_seconds : float;
-  measured_step_seconds : float;
+  measured_step_seconds : float option;
+      (** simulated-machine time, [None] until {!measure} runs *)
 }
 
 val score :
@@ -23,11 +30,19 @@ val score :
   threads:int ->
   tuned:bool ->
   candidate
-(** Predict and measure one variant's per-step time: the sum over its
-    kernels of grid points divided by (predicted resp. measured) chip
-    LUP/s. When [tuned], each kernel's configuration is the best
-    wavefront-free configuration of the analytic advisor; otherwise the
-    default (unblocked, linear) configuration. *)
+(** Predict one variant's per-step time: the sum over its kernels of
+    grid points divided by the predicted chip LUP/s. When [tuned], each
+    kernel's configuration is the best wavefront-free configuration of
+    the analytic advisor; otherwise the default (unblocked, linear)
+    configuration. Runs nothing: [measured_step_seconds] is [None]. *)
+
+val measure :
+  Yasksite_arch.Machine.t -> Yasksite_ode.Pde.t -> candidate -> candidate
+(** [measure m pde c] runs each of [c]'s kernels on the cache simulator
+    ({!Yasksite_engine.Measure.stencil_sweep}) in its configuration
+    from [c.configs] and fills [measured_step_seconds] with the sum of
+    grid points over measured chip LUP/s. Deterministic: measuring the
+    same candidate twice gives bit-equal values. *)
 
 val evaluate :
   ?cache:Yasksite_ecm.Cache.t ->
@@ -39,8 +54,9 @@ val evaluate :
   h:float ->
   threads:int ->
   candidate list
-(** All four candidates ({unfused, fused} x {naive, tuned}), sorted by
-    predicted time, fastest first. ECM model evaluations are memoized
+(** All four candidates ({unfused, fused} x {naive, tuned}), scored
+    and then measured ({!score}, then {!measure}), sorted by predicted
+    time, fastest first. ECM model evaluations are memoized
     in [cache] (default {!Yasksite_ecm.Cache.shared}) — variants share
     kernels, so repeated rankings hit; candidates are scored on
     [pool]'s domains when given; [store] additionally persists
@@ -75,7 +91,8 @@ type quality = {
 }
 
 val quality : candidate list -> quality
-(** Ranking quality of an {!evaluate} result (>= 2 candidates). *)
+(** Ranking quality of an {!evaluate} result (>= 2 candidates). Raises
+    [Invalid_argument] when a candidate has not been measured. *)
 
 type method_choice = {
   tableau : Yasksite_ode.Tableau.t;
@@ -83,7 +100,6 @@ type method_choice = {
   h_stable : float;  (** stability-limited step size on this problem *)
   predicted_time_per_unit : float;
       (** predicted seconds of compute per simulated second *)
-  measured_time_per_unit : float;
 }
 
 val spectral_radius : Yasksite_ode.Pde.t -> float
@@ -102,7 +118,8 @@ val rank_methods :
     stability interval over the discrete Laplacian's spectral radius),
     pick its best implementation variant by prediction, and rank the
     methods by predicted compute time per simulated second. Sorted by
-    prediction, best first. *)
+    prediction, best first. Model-only: the candidates are unmeasured
+    ({!measure} one to validate it). *)
 
 type accuracy_choice = {
   tableau_a : Yasksite_ode.Tableau.t;
@@ -112,7 +129,6 @@ type accuracy_choice = {
   achieved_error : float;
       (** max-norm time-integration error vs a fine reference *)
   predicted_seconds : float;  (** predicted compute time for the run *)
-  measured_seconds : float;
 }
 
 val rank_methods_at_accuracy :
@@ -128,9 +144,13 @@ val rank_methods_at_accuracy :
     step count starts at the stability limit and doubles until the error
     against a fine DOPRI5 reference (on the same spatial grid, so spatial
     error cancels) meets the tolerance; the cost is steps times the best
-    variant's per-step time. Sorted by predicted cost, best first.
-    Intended for moderate grids (the calibration integrates the real
-    problem). *)
+    variant's per-step time. A method whose ten doublings never meet
+    [tol] is still returned, with the [steps] and [achieved_error] of
+    its last attempt, but every choice with [achieved_error <= tol]
+    ranks ahead of every such miss; within each group the order is by
+    predicted cost, best first. Model-only: the candidates are
+    unmeasured. Intended for moderate grids (the calibration integrates
+    the real problem). *)
 
 val best_static_config :
   ?cache:Yasksite_ecm.Cache.t ->

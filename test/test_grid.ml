@@ -170,6 +170,135 @@ let test_flat_access () =
   Alcotest.(check int) "byte address" (Grid.base_address g + (8 * off))
     (Grid.byte_address g [| 2 |])
 
+(* Every shape the halo walks must handle: ranks 1-3, halos 0..3 (down
+   to halo = dims), Linear and Folded layouts, and mixed per-dimension
+   halos. *)
+let walk_shapes () =
+  let rng = Prng.create ~seed:1729 in
+  List.concat_map
+    (fun rank ->
+      List.concat_map
+        (fun h ->
+          let tight = Array.make rank (max h 1) in
+          let loose = Array.init rank (fun _ -> max h 1 + Prng.int rng ~bound:5) in
+          let mixed = Array.init rank (fun _ -> Prng.int rng ~bound:4) in
+          let fold = Array.init rank (fun _ -> 1 + Prng.int rng ~bound:4) in
+          List.concat_map
+            (fun layout ->
+              [ (Array.make rank h, tight, layout);
+                (Array.make rank h, loose, layout);
+                (mixed, Array.map (fun m -> max m 1 + 2) mixed, layout) ])
+            [ Grid.Linear; Grid.Folded fold ])
+        [ 0; 1; 2; 3 ])
+    [ 1; 2; 3 ]
+
+let shape_name (halo, dims, layout) =
+  let ints a = String.concat "x" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "dims %s halo %s %s" (ints dims) (ints halo)
+    (match layout with Grid.Linear -> "linear" | Grid.Folded f -> "fold " ^ ints f)
+
+(* A grid whose every allocated element (padding included) holds a
+   distinct value, so any stray write shows. *)
+let numbered (halo, dims, layout) =
+  let g = Grid.create ~halo ~layout ~dims () in
+  let raw = Grid.raw g in
+  for i = 0 to Grid.length g - 1 do
+    Bigarray.Array1.set raw i (1000.0 +. float_of_int i)
+  done;
+  g
+
+let same_bits a b =
+  let ra = Grid.raw a and rb = Grid.raw b in
+  Grid.length a = Grid.length b
+  && (let ok = ref true in
+      for i = 0 to Grid.length a - 1 do
+        if Int64.bits_of_float (Bigarray.Array1.get ra i)
+           <> Int64.bits_of_float (Bigarray.Array1.get rb i)
+        then ok := false
+      done;
+      !ok)
+
+(* The whole-box walk the halo refreshes replaced: every point of the
+   total box, through Grid.get/set. *)
+let iter_total_box g ~f =
+  let dims = Grid.dims g and halo = Grid.halo g in
+  let rank = Array.length dims in
+  let idx = Array.make rank 0 in
+  let rec go d =
+    if d = rank then f idx
+    else
+      for i = -halo.(d) to dims.(d) + halo.(d) - 1 do
+        idx.(d) <- i;
+        go (d + 1)
+      done
+  in
+  go 0
+
+let interior g idx =
+  let dims = Grid.dims g in
+  let ok = ref true in
+  Array.iteri (fun i x -> if x < 0 || x >= dims.(i) then ok := false) idx;
+  !ok
+
+let test_fill_walk () =
+  List.iter
+    (fun shape ->
+      let name = shape_name shape in
+      let g = numbered shape and reference = numbered shape in
+      let calls = ref [] in
+      let counter = ref 0 in
+      Grid.fill g ~f:(fun idx ->
+          calls := Array.copy idx :: !calls;
+          incr counter;
+          (* Stateful: the value depends on the call's position. *)
+          (float_of_int !counter *. 0.1) +. float_of_int idx.(0));
+      let order = ref [] in
+      Grid.iter_interior reference ~f:(fun idx -> order := Array.copy idx :: !order);
+      Alcotest.(check (list (array int)))
+        (name ^ ": once per point, iter_interior order")
+        (List.rev !order) (List.rev !calls);
+      let counter = ref 0 in
+      Grid.iter_interior reference ~f:(fun idx ->
+          incr counter;
+          Grid.set reference idx ((float_of_int !counter *. 0.1) +. float_of_int idx.(0)));
+      Alcotest.(check bool)
+        (name ^ ": bit-identical to Grid.set, halo and padding untouched")
+        true (same_bits g reference))
+    (walk_shapes ())
+
+let test_halo_dirichlet_walk () =
+  List.iter
+    (fun shape ->
+      let name = shape_name shape in
+      let g = numbered shape and reference = numbered shape in
+      Grid.halo_dirichlet g (-3.5);
+      iter_total_box reference ~f:(fun idx ->
+          if not (interior reference idx) then Grid.set reference idx (-3.5));
+      Alcotest.(check bool)
+        (name ^ ": exactly the non-interior cells set")
+        true (same_bits g reference))
+    (walk_shapes ())
+
+let test_halo_periodic_walk () =
+  List.iter
+    (fun shape ->
+      let name = shape_name shape in
+      let g = numbered shape and reference = numbered shape in
+      Grid.halo_periodic g;
+      let dims = Grid.dims reference in
+      let wrapped = Array.make (Array.length dims) 0 in
+      iter_total_box reference ~f:(fun idx ->
+          if not (interior reference idx) then begin
+            Array.iteri
+              (fun i x -> wrapped.(i) <- ((x mod dims.(i)) + dims.(i)) mod dims.(i))
+              idx;
+            Grid.set reference idx (Grid.get reference wrapped)
+          end);
+      Alcotest.(check bool)
+        (name ^ ": bit-identical to the whole-box walk")
+        true (same_bits g reference))
+    (walk_shapes ())
+
 let suite =
   [ Alcotest.test_case "create validation" `Quick test_create_validation;
     Alcotest.test_case "get/set roundtrip" `Quick test_get_set_roundtrip;
@@ -179,6 +308,11 @@ let suite =
     Alcotest.test_case "fill and iter" `Quick test_fill_and_iter;
     Alcotest.test_case "halo dirichlet" `Quick test_halo_dirichlet;
     Alcotest.test_case "halo periodic" `Quick test_halo_periodic;
+    Alcotest.test_case "fill walks rows" `Quick test_fill_walk;
+    Alcotest.test_case "halo dirichlet walks halo only" `Quick
+      test_halo_dirichlet_walk;
+    Alcotest.test_case "halo periodic walks halo only" `Quick
+      test_halo_periodic_walk;
     Alcotest.test_case "copy across layouts" `Quick test_copy_across_layouts;
     Alcotest.test_case "l2 norm" `Quick test_norm;
     Alcotest.test_case "addresses disjoint" `Quick test_addresses_disjoint;

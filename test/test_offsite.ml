@@ -124,7 +124,9 @@ let test_evaluate_and_quality () =
       Alcotest.(check bool) "positive predicted" true
         (c.Offsite.predicted_step_seconds > 0.0);
       Alcotest.(check bool) "positive measured" true
-        (c.Offsite.measured_step_seconds > 0.0))
+        (match c.Offsite.measured_step_seconds with
+        | Some x when x > 0.0 -> true
+        | _ -> false))
     candidates;
   let q = Offsite.quality candidates in
   Alcotest.(check bool) "kendall in range" true
@@ -269,9 +271,120 @@ let test_rank_methods_at_accuracy () =
         (Offsite.rank_methods_at_accuracy m pde methods ~t_end:0.01 ~tol:0.0
            ~threads:1))
 
+let bits = Int64.bits_of_float
+
+(* A decision's pick must be exactly the head of the validation path
+   ([evaluate], which also measures) at the same step size, minus the
+   measurement — and measuring it afterwards must reproduce evaluate's
+   value bit for bit. *)
+let check_pick name m pde tab ~h (c : Offsite.candidate) =
+  let head = List.hd (Offsite.evaluate m pde tab ~h ~threads:1) in
+  Alcotest.(check bool) (name ^ ": unmeasured") true
+    (c.Offsite.measured_step_seconds = None);
+  Alcotest.(check bool) (name ^ ": variant") true
+    (c.Offsite.variant = head.Offsite.variant);
+  Alcotest.(check bool) (name ^ ": tuned") head.Offsite.tuned c.Offsite.tuned;
+  Alcotest.(check bool) (name ^ ": configs") true
+    (c.Offsite.configs = head.Offsite.configs);
+  Alcotest.(check int64) (name ^ ": predicted bits")
+    (bits head.Offsite.predicted_step_seconds)
+    (bits c.Offsite.predicted_step_seconds);
+  let measured = Offsite.measure m pde c in
+  Alcotest.(check (option int64)) (name ^ ": measure = evaluate's measurement")
+    (Option.map bits head.Offsite.measured_step_seconds)
+    (Option.map bits measured.Offsite.measured_step_seconds)
+
+let test_decisions_model_only () =
+  let m = Machine.test_chip in
+  let pde = Pde.heat ~rank:1 ~n:32 ~alpha:1.0 in
+  let methods = [ Tableau.euler; Tableau.rk4 ] in
+  List.iter
+    (fun (c : Offsite.method_choice) ->
+      check_pick
+        ("rank_methods " ^ c.Offsite.tableau.Tableau.name)
+        m pde c.Offsite.tableau ~h:c.Offsite.h_stable c.Offsite.candidate)
+    (Offsite.rank_methods m pde methods ~threads:1);
+  List.iter
+    (fun (c : Offsite.accuracy_choice) ->
+      check_pick
+        ("rank_methods_at_accuracy " ^ c.Offsite.tableau_a.Tableau.name)
+        m pde c.Offsite.tableau_a ~h:c.Offsite.h_used c.Offsite.candidate_a)
+    (Offsite.rank_methods_at_accuracy m pde methods ~t_end:0.002 ~tol:1e-9
+       ~threads:1);
+  let unmeasured =
+    List.map
+      (fun c -> { c with Offsite.measured_step_seconds = None })
+      (Offsite.evaluate m pde Tableau.heun2 ~h:1e-5 ~threads:1)
+  in
+  Alcotest.check_raises "quality needs measurements"
+    (Invalid_argument "Offsite.quality: candidate not measured") (fun () ->
+      ignore (Offsite.quality unmeasured))
+
+(* Every choice that met the tolerance ranks ahead of every miss, each
+   group by predicted cost. Euler runs out of doublings from 1e-9 on
+   (5120 steps, error ~3.7e-8); at 1e-16 RK4 hits its round-off floor
+   and misses too. *)
+let test_tolerance_misses_last () =
+  let m = Machine.test_chip in
+  let pde = Pde.heat ~rank:1 ~n:32 ~alpha:1.0 in
+  let methods = [ Tableau.euler; Tableau.rk4 ] in
+  List.iter
+    (fun (tol, expect_missed) ->
+      let choices =
+        Offsite.rank_methods_at_accuracy m pde methods ~t_end:0.002 ~tol
+          ~threads:1
+      in
+      let missed (c : Offsite.accuracy_choice) =
+        not (c.Offsite.achieved_error <= tol)
+      in
+      let rec ordered = function
+        | a :: (b :: _ as rest) ->
+            (match (missed a, missed b) with
+            | true, false -> false
+            | ma, mb when ma = mb ->
+                a.Offsite.predicted_seconds <= b.Offsite.predicted_seconds
+            | _ -> true)
+            && ordered rest
+        | _ -> true
+      in
+      let name = Printf.sprintf "tol %g" tol in
+      Alcotest.(check int) (name ^ ": both methods returned") 2
+        (List.length choices);
+      Alcotest.(check (list string)) (name ^ ": misses")
+        expect_missed
+        (List.filter_map
+           (fun c ->
+             if missed c then Some c.Offsite.tableau_a.Tableau.name else None)
+           choices
+        |> List.sort compare);
+      Alcotest.(check bool) (name ^ ": met ahead of missed, then by cost")
+        true (ordered choices))
+    [ (1e-2, []); (1e-9, [ "euler" ]); (1e-15, [ "euler" ]);
+      (1e-16, [ "euler"; "rk4" ]) ];
+  (* The rule decides here: at 1e-13 Heun meets the tolerance only at
+     5120 steps, which costs more than Euler's miss at 5120. *)
+  let choices =
+    Offsite.rank_methods_at_accuracy m pde
+      [ Tableau.euler; Tableau.heun2; Tableau.rk4 ]
+      ~t_end:0.002 ~tol:1e-13 ~threads:1
+  in
+  let cost name =
+    (List.find (fun c -> c.Offsite.tableau_a.Tableau.name = name) choices)
+      .Offsite.predicted_seconds
+  in
+  Alcotest.(check bool) "euler's miss is cheaper than heun2's hit" true
+    (cost "euler" < cost "heun2");
+  Alcotest.(check (list string)) "the miss still ranks last"
+    [ "rk4"; "heun2"; "euler" ]
+    (List.map (fun c -> c.Offsite.tableau_a.Tableau.name) choices)
+
 let accuracy_suite =
   [ Alcotest.test_case "rank methods at accuracy" `Slow
-      test_rank_methods_at_accuracy ]
+      test_rank_methods_at_accuracy;
+    Alcotest.test_case "decisions are model-only" `Slow
+      test_decisions_model_only;
+    Alcotest.test_case "tolerance misses rank last" `Slow
+      test_tolerance_misses_last ]
 
 let test_variant_coefficients () =
   (* The stage-1 axpy of rk4 must scale K_0 by h * a_10 = h/2. *)
