@@ -1307,6 +1307,14 @@ let e18 () =
    from the store (pays only the Dynlink load). Writes
    bench/BENCH_codegen.json. *)
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error _ -> ()
+
 let e19 () =
   header "e19"
     "Codegen backend vs plan backend (BENCH_codegen.json)";
@@ -1316,14 +1324,6 @@ let e19 () =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-    | _ -> Unix.unlink path
-    | exception Unix.Unix_error _ -> ()
   in
   if not (Native.available ()) then begin
     (* No toolchain here: the backend falls back to the plan
@@ -1342,17 +1342,25 @@ let e19 () =
       let halo = Stencil.Analysis.halo info in
       let rank = spec.Stencil.Spec.rank in
       let prng = Yasksite_util.Prng.create ~seed:(19 * rank) in
-      let a = Grid.create ~halo ~dims () in
-      Grid.fill a ~f:(fun _ ->
-          Yasksite_util.Prng.float_range prng ~lo:(-1.0) ~hi:1.0);
-      Grid.halo_dirichlet a 0.25;
+      let inputs =
+        Array.init spec.Stencil.Spec.n_fields (fun _ ->
+            let a = Grid.create ~halo ~dims () in
+            Grid.fill a ~f:(fun _ ->
+                Yasksite_util.Prng.float_range prng ~lo:(-1.0) ~hi:1.0);
+            Grid.halo_dirichlet a 0.25;
+            a)
+      in
+      let body =
+        match (Stencil.Lower.lower spec).Stencil.Plan.body with
+        | Stencil.Plan.Groups _ -> "fma-chain"
+        | Stencil.Plan.Program _ -> "tape"
+      in
       let run backend =
         let o = Grid.create ~halo ~dims () in
         (* Warm-up sweep first so the codegen timing measures the
            kernel, not its one-time compile; then best-of-3 over [reps]
            back-to-back sweeps to shed scheduler noise. *)
-        ignore (Sweep.run ~backend spec ~inputs:[| a |] ~output:o
-                 : Sweep.stats);
+        ignore (Sweep.run ~backend spec ~inputs ~output:o : Sweep.stats);
         let best = ref infinity in
         for _ = 1 to 3 do
           let (_ : Sweep.stats), s =
@@ -1360,8 +1368,7 @@ let e19 () =
                 let acc = ref Sweep.zero_stats in
                 for _ = 1 to reps do
                   acc :=
-                    Sweep.add_stats !acc
-                      (Sweep.run ~backend spec ~inputs:[| a |] ~output:o)
+                    Sweep.add_stats !acc (Sweep.run ~backend spec ~inputs ~output:o)
                 done;
                 !acc)
           in
@@ -1375,19 +1382,27 @@ let e19 () =
       let points = Array.fold_left ( * ) 1 dims in
       let vs_plan = plan_s /. codegen_s in
       Printf.printf
-        "%-14s rank %d %-12s %7d pts x%d: plan %.4f s, codegen %.4f s \
+        "%-14s (%s) rank %d %-12s %7d pts x%d: plan %.4f s, codegen %.4f s \
          (%.2fx vs plan, outputs %s)\n"
-        spec.Stencil.Spec.name rank
+        spec.Stencil.Spec.name body rank
         (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
         points reps plan_s codegen_s vs_plan
         (if identical then "bit-identical" else "DIFFER");
-      (spec, dims, points, reps, plan_s, codegen_s, vs_plan, identical)
+      (spec, body, dims, points, reps, plan_s, codegen_s, vs_plan, identical)
+    in
+    (* The postfix-body row: heun2's fused stage (K1 = F(y + h K0) on
+       heat-2d), which codegen emits from the tape. *)
+    let heun2_stage =
+      let pde = Ode.Pde.heat ~rank:2 ~n:512 ~alpha:1.0 in
+      let v = Offsite.Variant.fused Ode.Tableau.heun2 pde ~h:1e-6 in
+      (List.nth v.Offsite.Variant.kernels 1).Offsite.Variant.spec
     in
     let cases =
       List.map sweep_case
         [ (Stencil.Suite.heat_2d_5pt, [| 512; 512 |], 8);
           (Stencil.Suite.box_2d_9pt, [| 512; 512 |], 8);
-          (Stencil.Suite.heat_3d_7pt, [| 96; 96; 96 |], 4) ]
+          (Stencil.Suite.heat_3d_7pt, [| 96; 96; 96 |], 4);
+          (heun2_stage, [| 512; 512 |], 8) ]
     in
     (* Compile-cache economics on a throwaway store root: the cold
        first sweep pays the out-of-process compiler, a fresh process
@@ -1441,11 +1456,12 @@ let e19 () =
       (cold_s /. warm_s)
       warm_stats.Native.compiles warm_stats.Native.store_hits;
     let json =
-      let case_json (spec, dims, points, reps, plan_s, codegen_s, vs_plan, id)
-          =
+      let case_json
+          (spec, body, dims, points, reps, plan_s, codegen_s, vs_plan, id) =
         Printf.sprintf
           "    {\n\
           \      \"stencil\": \"%s\",\n\
+          \      \"body\": \"%s\",\n\
           \      \"rank\": %d,\n\
           \      \"dims\": [%s],\n\
           \      \"points\": %d,\n\
@@ -1455,7 +1471,7 @@ let e19 () =
           \      \"speedup_vs_plan\": %.2f,\n\
           \      \"bit_identical\": %b\n\
           \    }"
-          spec.Stencil.Spec.name spec.Stencil.Spec.rank
+          spec.Stencil.Spec.name body spec.Stencil.Spec.rank
           (String.concat ", " (Array.to_list (Array.map string_of_int dims)))
           points reps plan_s codegen_s vs_plan id
       in
@@ -1979,6 +1995,91 @@ let e21 () =
     wall_rows;
   Printf.printf "outputs across partitions: %s\n"
     (if bit_identical then "bit-identical" else "DIFFER");
+  (* The native tape kernels against the interpreter on the CLI's
+     [program run hdiff -d 1024x1024 --block 0x128 --domains 2 --fuse
+     auto]: the partition the advisor picks for clx/8, run on a 2-domain
+     pool on each backend in interleaved pairs (alternating which runs
+     first). Every codegen run starts like a fresh process over a warm
+     store, so it pays its kernel loads as the CLI does. Host time. *)
+  let gate_pairs = 6 in
+  let gate_dims = [| 1024; 1024 |] in
+  let gate_config = Config.v ~block:[| 0; 128 |] () in
+  let gate_inline =
+    (Advisor.best_partition
+       (Machine.scaled ~factor:8 Machine.cascade_lake)
+       p ~dims:gate_dims ~config:gate_config)
+      .Advisor.inline
+  in
+  let gate_fp = P.fuse p ~inline:gate_inline in
+  let gate_inputs =
+    let space = Grid.fresh_space () in
+    ( space,
+      List.map
+        (fun (name, halo) ->
+          let prng = Yasksite_util.Prng.create ~seed:(21 + Hashtbl.hash name) in
+          let g = Grid.create ~space ~halo ~dims:gate_dims () in
+          Grid.fill g ~f:(fun _ ->
+              Yasksite_util.Prng.float_range prng ~lo:(-1.0) ~hi:1.0);
+          Grid.halo_dirichlet g 0.0;
+          (name, g))
+        hp.P.input_halo )
+  in
+  let gate_root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "yasksite-bench-e21-%d" (Unix.getpid ()))
+  in
+  let gate_store = Store.open_root gate_root in
+  let gate_sums (r : Prog.result) =
+    List.map
+      (fun (n, g) ->
+        let acc = ref 0.0 in
+        Grid.iter_interior_values g ~f:(fun _ v -> acc := !acc +. v);
+        (n, !acc))
+      r.Prog.outputs
+  in
+  let gate_run pool backend =
+    if backend = Engine.Sweep.Codegen_backend then begin
+      Engine.Native.reset_for_tests ();
+      Engine.Native.set_store (Some gate_store)
+    end;
+    let space, inputs = gate_inputs in
+    let r, s =
+      time (fun () -> Prog.run ~pool ~backend ~config:gate_config ~space gate_fp ~inputs)
+    in
+    (s, gate_sums r)
+  in
+  let gate =
+    Fun.protect
+      ~finally:(fun () ->
+        Engine.Native.reset_for_tests ();
+        rm_rf gate_root)
+      (fun () ->
+        Yasksite_util.Pool.with_pool ~domains:2 (fun pool ->
+            (* warm-up: compile the kernels into the store *)
+            ignore (gate_run pool Engine.Sweep.Codegen_backend);
+            ignore (gate_run pool Engine.Sweep.Plan_backend);
+            List.init gate_pairs (fun k ->
+                let order =
+                  if k mod 2 = 0 then [ Engine.Sweep.Plan_backend; Engine.Sweep.Codegen_backend ]
+                  else [ Engine.Sweep.Codegen_backend; Engine.Sweep.Plan_backend ]
+                in
+                let res = List.map (fun b -> (b, gate_run pool b)) order in
+                let plan_s, plan_sums = List.assoc Engine.Sweep.Plan_backend res
+                and code_s, code_sums = List.assoc Engine.Sweep.Codegen_backend res in
+                (plan_s, code_s, plan_sums = code_sums))))
+  in
+  let gate_wins = List.length (List.filter (fun (p, c, _) -> c <= p) gate) in
+  let gate_identical = List.for_all (fun (_, _, id) -> id) gate in
+  Printf.printf
+    "\nnative tape kernels vs the plan interpreter (host, 1024x1024, block \
+     0x128, 2 domains, --fuse auto = %s):\n"
+    (label gate_inline);
+  List.iter
+    (fun (p, c, _) -> Printf.printf "  plan %.4f s  codegen %.4f s  (%.2fx)\n" p c (p /. c))
+    gate;
+  Printf.printf "codegen no slower in %d of %d interleaved pairs; outputs %s\n"
+    gate_wins gate_pairs
+    (if gate_identical then "bit-identical" else "DIFFER");
   let json =
     let ints a =
       String.concat ", " (Array.to_list (Array.map string_of_int a))
@@ -2042,12 +2143,33 @@ let e21 () =
        machines above\",\n\
       \    \"bit_identical\": %b,\n\
       \    \"runs\": [\n%s\n    ]\n\
+      \  },\n\
+      \  \"codegen\": {\n\
+      \    \"clock\": \"host, 2-domain pool\",\n\
+      \    \"dims\": [%s],\n\
+      \    \"block\": [0, 128],\n\
+      \    \"fuse\": \"auto\",\n\
+      \    \"inline\": [%s],\n\
+      \    \"note\": \"program run on the plan interpreter and on native tape \
+       kernels in interleaved pairs, alternating which runs first; each \
+       codegen run reloads its kernels from a warm store as a fresh CLI \
+       process does\",\n\
+      \    \"pairs\": [%s],\n\
+      \    \"codegen_no_slower\": %d,\n\
+      \    \"bit_identical\": %b\n\
       \  }\n\
        }\n"
       (ints dims)
       (String.concat ",\n" (List.map machine_json per_machine))
       rounds bit_identical
       (String.concat ",\n" (List.map wall_json wall_rows))
+      (ints gate_dims) (strs gate_inline)
+      (String.concat ", "
+         (List.map
+            (fun (p, c, _) ->
+              Printf.sprintf "{\"plan_s\": %.6f, \"codegen_s\": %.6f}" p c)
+            gate))
+      gate_wins gate_identical
   in
   Out_channel.with_open_text "bench/BENCH_fusion.json" (fun oc ->
       Out_channel.output_string oc json);

@@ -11,7 +11,7 @@ module Store = Yasksite_store.Store
 
    Resolution order for a key: process-local memo table; then the
    persistent store (namespace "kern-v1", compiled bytes keyed by
-   specialization key × compiler version × flags); then an
+   specialization key × the host's compiler version × flags); then an
    out-of-process [ocamlfind ocamlopt -shared] compile whose result is
    written through to the store. Every failure mode — no toolchain, no
    native Dynlink, plan rejected by the YS5xx verifier, unsupported
@@ -323,123 +323,128 @@ let compile_fresh ~src ~ckey ~name ~store ~skey ~version ~flags =
           | _ -> ());
           Ok k)
 
+(* The store key binds the specialization key to the host's own
+   compiler version and the compile flags: [Dynlink] refuses a unit
+   built by any other compiler, and a payload is only ever written
+   after it loaded, so a store hit needs no toolchain at all — the
+   [ocamlfind] probe (a process spawn) runs only when a kernel must be
+   compiled. *)
 let resolve ~(plan : Plan.t) ~inputs ~output ~v ~ckey =
   if not (Plan.resolved plan) then Error "plan has unresolved coefficients"
+  else if not Dynlink.is_native then Error "native Dynlink unavailable"
   else
-    match probe () with
-    | None -> Error "ocamlfind or native Dynlink unavailable"
-    | Some (version, flags) -> (
-        (* The YS5xx dataflow verifier gates emission: no source is
-           generated, let alone run, for a plan whose accesses the
-           verifier cannot prove in bounds for these grids. *)
-        let ds = Lint.Plan.check plan ~inputs ~output in
-        if D.has_errors ds then begin
-          incr gate_rejections;
-          let first =
-            match D.errors ds with
-            | d :: _ -> Printf.sprintf "%s: %s" d.D.code d.D.message
-            | [] -> "unknown"
+    (* The YS5xx dataflow verifier gates emission: no source is
+       generated, let alone run, for a plan whose accesses the verifier
+       cannot prove in bounds for these grids. *)
+    let ds = Lint.Plan.check plan ~inputs ~output in
+    if D.has_errors ds then begin
+      incr gate_rejections;
+      let first =
+        match D.errors ds with
+        | d :: _ -> Printf.sprintf "%s: %s" d.D.code d.D.message
+        | [] -> "unknown"
+      in
+      Error ("plan verifier rejected the plan (" ^ first ^ ")")
+    end
+    else
+      match Codegen.source ~plan v with
+      | Error reason -> Error ("unsupported plan: " ^ reason)
+      | Ok src -> (
+          let src =
+            match !source_transform with None -> src | Some f -> f src
           in
-          Error ("plan verifier rejected the plan (" ^ first ^ ")")
-        end
-        else
-          match Codegen.source ~plan v with
-          | Error reason -> Error ("unsupported plan: " ^ reason)
-          | Ok src -> (
-              let src =
-                match !source_transform with None -> src | Some f -> f src
+          (* Translation validation (YS6xx): prove the emitted source IS
+             the plan before anything is compiled, revived or loaded. A
+             passing verdict earns a native certificate (cache key ×
+             validator version, payload the digest of the validated
+             bytes), so warm paths — memo misses re-resolving a
+             store-revived kernel in a later process — skip the
+             proof. *)
+          let src_digest = Digest.to_hex (Digest.string src) in
+          let nkey = Cert.native_key ~ckey ~version:Lint.Native.version in
+          let verdict =
+            match Cert.native_lookup nkey with
+            | Some d when d = src_digest -> Ok ()
+            | _ -> (
+                incr validations;
+                match Lint.Native.validate ~plan ~variant:v ~inputs src with
+                | Ok () ->
+                    Cert.native_insert nkey ~digest:src_digest;
+                    Ok ()
+                | Error ds ->
+                    incr validator_rejections;
+                    let first =
+                      match ds with
+                      | d :: _ -> Printf.sprintf "%s: %s" d.D.code d.D.message
+                      | [] -> "unknown"
+                    in
+                    Error
+                      ("translation validator rejected the emitted kernel ("
+                     ^ first ^ ")"))
+          in
+          match verdict with
+          | Error msg -> Error msg
+          | Ok () -> (
+              let name = Codegen.callback_name ckey in
+              let store = !persistent in
+              let flags_line = String.concat " " compile_flags in
+              let skey =
+                store_key ~ckey ~version:Sys.ocaml_version ~flags:compile_flags
               in
-              (* Translation validation (YS6xx): prove the emitted
-                 source IS the plan before anything is compiled,
-                 revived or loaded. A passing verdict earns a native
-                 certificate (cache key × validator version, payload
-                 the digest of the validated bytes), so warm paths —
-                 memo misses re-resolving a store-revived kernel in a
-                 later process — skip the proof. *)
-              let src_digest = Digest.to_hex (Digest.string src) in
-              let nkey =
-                Cert.native_key ~ckey ~version:Lint.Native.version
+              let compile () =
+                match probe () with
+                | None -> Error "ocamlfind unavailable"
+                | Some (version, flags) ->
+                    compile_fresh ~src ~ckey ~name ~store ~skey ~version ~flags
               in
-              let verdict =
-                match Cert.native_lookup nkey with
-                | Some d when d = src_digest -> Ok ()
-                | _ -> (
-                    incr validations;
-                    match Lint.Native.validate ~plan ~variant:v ~inputs src with
-                    | Ok () ->
-                        Cert.native_insert nkey ~digest:src_digest;
-                        Ok ()
-                    | Error ds ->
-                        incr validator_rejections;
-                        let first =
-                          match ds with
-                          | d :: _ ->
-                              Printf.sprintf "%s: %s" d.D.code d.D.message
-                          | [] -> "unknown"
-                        in
-                        Error
-                          ("translation validator rejected the emitted \
-                            kernel (" ^ first ^ ")"))
+              let cached =
+                match store with
+                | None -> None
+                | Some s -> Store.get s ~ns:store_ns ~key:skey
               in
-              match verdict with
-              | Error msg -> Error msg
-              | Ok () -> (
-                  let name = Codegen.callback_name ckey in
-                  let store = !persistent in
-                  let skey = store_key ~ckey ~version ~flags in
-                  let cached =
-                    match store with
-                    | None -> None
-                    | Some s -> Store.get s ~ns:store_ns ~key:skey
+              match cached with
+              | None -> compile ()
+              | Some raw -> (
+                  (* Strip the payload header; a header naming a
+                     different ABI or flag set in this slot means the
+                     entry is stale or mis-filed — recompile and let the
+                     write-through repair it. *)
+                  let revived =
+                    match decode_payload raw with
+                    | None -> Some (true, raw) (* legacy payload *)
+                    | Some (abi, _, fl, bytes) ->
+                        if abi = string_of_int Codegen.abi && fl = flags_line
+                        then Some (false, bytes)
+                        else None
                   in
-                  match cached with
-                  | Some raw -> (
-                      (* Strip the payload header; a header naming a
-                         different ABI or toolchain in this slot means
-                         the entry is stale or mis-filed — recompile
-                         and let the write-through repair it. *)
-                      let revived =
-                        match decode_payload raw with
-                        | None -> Some (true, raw)  (* legacy payload *)
-                        | Some (abi, ver, fl, bytes) ->
-                            if
-                              abi = string_of_int Codegen.abi
-                              && ver = version
-                              && fl = String.concat " " flags
-                            then Some (false, bytes)
-                            else None
-                      in
-                      match revived with
-                      | None ->
-                          incr load_errors;
-                          compile_fresh ~src ~ckey ~name ~store ~skey
-                            ~version ~flags
-                      | Some (legacy, bytes) -> (
-                          let cmxs = fresh_base ckey ^ ".cmxs" in
-                          write_file cmxs bytes;
-                          match load_kern ~path:cmxs ~name with
-                          | Ok k ->
-                              incr store_hits;
-                              incr loads;
-                              (* A legacy payload that still loads is
-                                 upgraded in place with the header. *)
-                              (if legacy then
-                                 match store with
-                                 | Some s when Store.writable s ->
-                                     Store.put s ~ns:store_ns ~key:skey
-                                       (encode_payload ~version ~flags bytes)
-                                 | _ -> ());
-                              Ok k
-                          | Error _ ->
-                              (* A stored payload that no longer loads
-                                 (corrupt, stale compiler) is recompiled;
-                                 the write-through repairs the slot. *)
-                              incr load_errors;
-                              compile_fresh ~src ~ckey ~name ~store ~skey
-                                ~version ~flags))
+                  match revived with
                   | None ->
-                      compile_fresh ~src ~ckey ~name ~store ~skey ~version
-                        ~flags)))
+                      incr load_errors;
+                      compile ()
+                  | Some (legacy, bytes) -> (
+                      let cmxs = fresh_base ckey ^ ".cmxs" in
+                      write_file cmxs bytes;
+                      match load_kern ~path:cmxs ~name with
+                      | Ok k ->
+                          incr store_hits;
+                          incr loads;
+                          (* A legacy payload that still loads is
+                             upgraded in place with the header. *)
+                          (if legacy then
+                             match store with
+                             | Some s when Store.writable s ->
+                                 Store.put s ~ns:store_ns ~key:skey
+                                   (encode_payload ~version:Sys.ocaml_version
+                                      ~flags:compile_flags bytes)
+                             | _ -> ())
+                          ;
+                          Ok k
+                      | Error _ ->
+                          (* A stored payload that no longer loads
+                             (corrupt, stale compiler) is recompiled;
+                             the write-through repairs the slot. *)
+                          incr load_errors;
+                          compile ()))))
 
 let resolve_safe ~plan ~inputs ~output ~v ~ckey =
   match resolve ~plan ~inputs ~output ~v ~ckey with

@@ -4,11 +4,13 @@
     A kernel is resolved per specialization key (plan fingerprint ×
     layout/pad variant): first from a process-local memo, then from the
     persistent store (namespace ["kern-v1"], compiled [.cmxs] bytes
-    keyed by specialization key × compiler version × flags — so a
-    kernel is compiled once per machine, ever), and only then by an
-    out-of-process [ocamlfind ocamlopt -shared] build whose result is
+    keyed by specialization key × the host's compiler version × flags
+    — so a kernel is compiled once per machine, ever), and only then by
+    an out-of-process [ocamlfind ocamlopt -shared] build whose result is
     written through to the store and loaded with
-    [Dynlink.loadfile_private].
+    [Dynlink.loadfile_private]. The toolchain is probed (a process
+    spawn) only when a kernel must be compiled: a store hit loads
+    without it.
 
     {b Degraded mode.} Resolution never fails a pipeline: a missing
     toolchain, bytecode host, YS5xx verifier rejection, unsupported

@@ -219,14 +219,9 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
     match (trace, sanitize_point, kern) with
     | None, None, Some k ->
         (* the generated hot path: the compiled unit's own row loop,
-           driven by the same bound storage and row bases as the
-           interpreter's *)
-        let rw = Lower.raw_of bound in
-        let row = Lower.driver_row drv in
-        fun (_ : int array) xb xe ->
-          k.Codegen.row rw.Lower.r_slot_data rw.Lower.r_slot_tab
-            rw.Lower.r_out_data rw.Lower.r_out_tab row
-            (Lower.driver_out_row drv) xb xe
+           driven by the same bound storage, row bases, rings and
+           restart decision as the interpreter's *)
+        fun (_ : int array) xb xe -> Codegen.store_row k drv xb xe
     | None, None, None ->
         (* the hot path: one monomorphic loop inside the driver *)
         fun (_ : int array) xb xe -> Lower.store_row drv xb xe
@@ -238,10 +233,7 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
                  evaluator under the driver's addressing, so traces,
                  traps and output placement stay shared with the
                  other backends *)
-              let rw = Lower.raw_of bound in
-              let row = Lower.driver_row drv in
-              fun (_ : int array) x ->
-                k.Codegen.point rw.Lower.r_slot_data rw.Lower.r_slot_tab row x
+              fun (_ : int array) x -> Codegen.eval k drv x
           | None -> fun (_ : int array) x -> Lower.eval drv x
         in
         let traced =

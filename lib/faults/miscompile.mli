@@ -25,6 +25,16 @@ type cls =
   | Point_row_diverge
       (** mutate [kern_point] only, leave [kern_row] intact (YS609) *)
   | Rename_registration  (** register under a non-ABI name (YS610) *)
+  | Tape_wrong_shift
+      (** read a ring buffer one lane off in a tape unit (YS613) *)
+  | Tape_wrong_class
+      (** read another shift class's ring or load row (YS614) *)
+  | Tape_ring_reversed
+      (** bind one class's ring rows walking the ring backwards — the
+          ring rotated the wrong way (YS615) *)
+  | Tape_stale_ring
+      (** skip one ring row a restart must recompute, so a stale row
+          survives the restart (YS616) *)
 
 val classes : cls list
 (** Every class, in declaration order. *)

@@ -233,23 +233,52 @@ let iter_rows idx ~lo ~hi ~f =
   in
   go 0
 
+(* The interior row by row, in row-major order: [f idx] once per row
+   with the outer coordinates set, the last left to [f]. *)
+let interior_rows t ~f =
+  iter_rows (Array.make (rank t) 0) ~lo:(Array.make (rank t) 0) ~hi:t.dims ~f
+
 let fill t ~f =
   let last = rank t - 1 in
   let tab = last_dim_offsets t and lp = t.left_pad.(last) in
   let n = t.dims.(last) in
-  iter_rows (Array.make (rank t) 0) ~lo:(Array.make (rank t) 0) ~hi:t.dims
-    ~f:(fun idx ->
+  interior_rows t ~f:(fun idx ->
       let base = row_base_of t idx in
       for x = 0 to n - 1 do
         idx.(last) <- x;
         Bigarray.Array1.unsafe_set t.data (base + tab.(x + lp)) (f idx)
       done)
 
+let iter_interior_values t ~f =
+  let last = rank t - 1 in
+  let tab = last_dim_offsets t and lp = t.left_pad.(last) in
+  let n = t.dims.(last) in
+  interior_rows t ~f:(fun idx ->
+      let base = row_base_of t idx in
+      for x = 0 to n - 1 do
+        idx.(last) <- x;
+        f idx (Bigarray.Array1.unsafe_get t.data (base + tab.(x + lp)))
+      done)
+
+(* [f] over the interior points of [a] and [b] (equal dims) in
+   row-major order, with their flat offsets in each. *)
+let iter_interior2 a b ~f =
+  let last = rank a - 1 in
+  let ta = last_dim_offsets a and la = a.left_pad.(last) in
+  let tb = last_dim_offsets b and lb = b.left_pad.(last) in
+  let n = a.dims.(last) in
+  interior_rows a ~f:(fun idx ->
+      let ra = row_base_of a idx and rb = row_base_of b idx in
+      for x = 0 to n - 1 do
+        f (ra + Array.unsafe_get ta (x + la)) (rb + Array.unsafe_get tb (x + lb))
+      done)
+
 let fill_all t v = Bigarray.Array1.fill t.data v
 
 let copy_interior ~src ~dst =
   if src.dims <> dst.dims then invalid_arg "Grid.copy_interior: dims mismatch";
-  iter_interior src ~f:(fun idx -> set dst idx (get src idx))
+  iter_interior2 src dst ~f:(fun s d ->
+      Bigarray.Array1.unsafe_set dst.data d (Bigarray.Array1.unsafe_get src.data s))
 
 (* Visit the halo cells only, row by row: a row of the total box whose
    outer coordinates leave the interior is halo end to end; an interior
@@ -309,15 +338,19 @@ let halo_periodic t =
 let max_abs_diff a b =
   if a.dims <> b.dims then invalid_arg "Grid.max_abs_diff: dims mismatch";
   let worst = ref 0.0 in
-  iter_interior a ~f:(fun idx ->
-      worst := max !worst (abs_float (get a idx -. get b idx)));
+  iter_interior2 a b ~f:(fun oa ob ->
+      let d =
+        abs_float
+          (Bigarray.Array1.unsafe_get a.data oa
+          -. Bigarray.Array1.unsafe_get b.data ob)
+      in
+      (* [max !worst d] without boxing either float *)
+      if not (!worst >= d) then worst := d);
   !worst
 
 let l2_norm t =
   let acc = ref 0.0 in
-  iter_interior t ~f:(fun idx ->
-      let v = get t idx in
-      acc := !acc +. (v *. v));
+  iter_interior_values t ~f:(fun _ v -> acc := !acc +. (v *. v));
   sqrt !acc
 
 let footprint_bytes t = 8 * length t

@@ -122,9 +122,15 @@ val fill_all : t -> float -> unit
 val iter_interior : t -> f:(int array -> unit) -> unit
 (** Row-major iteration over interior coordinates. *)
 
+val iter_interior_values : t -> f:(int array -> float -> unit) -> unit
+(** [f idx v] for every interior point with its value, in
+    {!iter_interior} order, on one reused coordinate array. Walks rows
+    through {!row_base} and {!last_dim_offsets}, so it allocates
+    nothing per point. *)
+
 val copy_interior : src:t -> dst:t -> unit
 (** Copy interior values; grids must have equal dims (layouts may
-    differ). *)
+    differ). Row by row, like {!iter_interior_values}. *)
 
 val halo_dirichlet : t -> float -> unit
 (** Set all halo points to a constant. Visits the halo cells only: the
@@ -137,10 +143,12 @@ val halo_periodic : t -> unit
     [halo.(i) <= dims.(i)]. *)
 
 val max_abs_diff : t -> t -> float
-(** Max absolute interior difference; dims must match. *)
+(** Max absolute interior difference; dims must match (layouts may
+    differ). Visits points in {!iter_interior} order, row by row. *)
 
 val l2_norm : t -> float
-(** Euclidean norm over the interior. *)
+(** Euclidean norm over the interior, summed in {!iter_interior}
+    order, row by row. *)
 
 val footprint_bytes : t -> int
 (** Allocated bytes (8 * {!length}). *)

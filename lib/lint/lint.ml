@@ -109,6 +109,15 @@ let rules =
     ("YS611", Diagnostic.Error, "prelude binds the wrong source slot");
     ("YS612", Diagnostic.Error, "plan cannot be symbolically evaluated for \
                                  validation");
+    ("YS613", Diagnostic.Error, "tape read at the wrong row or lane shift");
+    ("YS614", Diagnostic.Error, "tape read names the wrong shift class");
+    ("YS615", Diagnostic.Error, "ring buffer bound to the wrong physical \
+                                 row (ring walked the wrong way)");
+    ("YS616", Diagnostic.Error, "ring rows computed on a restart or a \
+                                 streamed row differ from the tape's (stale \
+                                 ring)");
+    ("YS617", Diagnostic.Error, "the tape does not replay to the plan's \
+                                 postfix body");
     ("YS700", Diagnostic.Error, "program source does not parse / malformed \
                                  stage");
     ("YS701", Diagnostic.Error, "stage reads a field that is neither an \

@@ -9,10 +9,13 @@
     - it parses the source back into the checked AST
       ({!Yasksite_stencil.Kernel_ast}), whose grammar covers exactly
       the shapes the generator produces;
-    - it rebuilds the expression the plan IR {e requires} under the
-      same variant — the same [1.0]/[-1.0] coefficient
-      specializations, left-associated [+.] chains, scale-after-sum,
-      postfix reconstruction;
+    - it rebuilds the unit the plan IR {e requires} under the same
+      variant — for an FMA-chain body the same [1.0]/[-1.0]
+      coefficient specializations, left-associated [+.] chains and
+      scale-after-sum; for a postfix body the strip loops of
+      {!Yasksite_stencil.Lower}'s tape, one per class that more than
+      one operand reads, over each of its ring rows, after
+      {!check_tape} has proved the tape itself equal to the body;
     - it compares the two op for op, every divergence classified under
       a stable [YS6xx] code.
 
@@ -41,7 +44,16 @@
       callback name for its own key;
     - [YS611] — a prelude binding names the wrong source slot;
     - [YS612] — the plan itself cannot be symbolically evaluated
-      (validator refusal — unresolved coefficients, malformed body).
+      (validator refusal — unresolved coefficients, malformed body);
+    - [YS613] — a tape read (ring buffer or load row) is at the wrong
+      row or lane shift, or a class loop runs over the wrong lanes;
+    - [YS614] — a tape read names the wrong shift class;
+    - [YS615] — a ring buffer is bound to the wrong physical row (the
+      ring walked the wrong way for the driver's rotation);
+    - [YS616] — a ring row a restart must recompute is missing, or the
+      streamed row is not the newest (a stale ring survives);
+    - [YS617] — the tape does not replay to the postfix body
+      ({!check_tape}).
 
     The validator is pure: no compiler, no execution, no allocation
     beyond the AST. {!Yasksite_engine.Native} runs it on every kernel
@@ -68,6 +80,18 @@ val check :
     bounds for YS607. Empty iff the translation is proved equivalent.
     Raises [Invalid_argument] if the variant's arrays do not match the
     plan's access-table arity. *)
+
+val check_tape : Plan.t -> Yasksite_stencil.Lower.tape -> Diagnostic.t list
+(** The tape validator: replay [tape] symbolically from its result
+    class — every node reading its operands at its ring-row and lane
+    offsets, every load its field at the rows and lanes its ring row
+    and lane stand for — into an expression tree, and require it to
+    equal the plan's postfix body structurally (constants by bit
+    pattern). Also checks that every operand row and lane a node's
+    loop reads lies inside the operand's ring. Empty iff the tape is
+    the body; a divergence is [YS617]. The builder
+    ({!Yasksite_stencil.Lower.tape_of_plan}) is checked, not trusted:
+    {!check} runs this before it rebuilds a tape unit's reference. *)
 
 val validate :
   plan:Plan.t ->

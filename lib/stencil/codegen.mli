@@ -2,17 +2,33 @@
     source.
 
     Where {!Lower} {e interprets} a plan row by row, this module emits a
-    self-contained OCaml compilation unit whose inner loop is the plan
-    fully unrolled — every coefficient a literal, every last-dimension
-    shift and pad constant-folded into the address arithmetic, table
-    indirection dropped entirely on unit-stride grids — so the native
-    compiler sees one straight-line FMA chain per point with no
-    dispatch of any kind. The engine's [Codegen_backend]
-    ({!Yasksite_engine.Sweep}) compiles the emitted source out of
-    process with [ocamlfind ocamlopt -shared], loads the resulting
-    [.cmxs] via [Dynlink], and caches it in the content-addressed store
-    under the [kern-v1] schema; this module is the pure front half — it
-    only builds strings and keys, and is usable without any toolchain.
+    self-contained OCaml compilation unit specialized to it — every
+    coefficient a literal, every last-dimension shift and pad
+    constant-folded into the address arithmetic, table indirection
+    dropped entirely on unit-stride grids. The engine's
+    [Codegen_backend] ({!Yasksite_engine.Sweep}) compiles the emitted
+    source out of process with [ocamlfind ocamlopt -shared], loads the
+    resulting [.cmxs] via [Dynlink], and caches it in the
+    content-addressed store under the [kern-v1] schema; this module is
+    the pure front half — it only builds the checked AST
+    ({!Kernel_ast}), prints it and computes keys, and is usable without
+    any toolchain.
+
+    {2 Body shapes}
+
+    An FMA-chain ({!Plan.Groups}) body becomes one straight-line chain
+    per point. A postfix ({!Plan.Program}) body is emitted from the
+    interpreter's own lowering, {!Lower.tape_of_plan}: a [strip]
+    function runs one loop per shift class that more than one operand
+    reads, over each row of the class's ring (all rows when the rings
+    restart, the newest when a row streams), with lane and row offsets
+    folded into literals; a class read once is computed inside its
+    user's loop, a load class is read in place at its ring row's base
+    and a constant is a literal. The entry points then evaluate the
+    result class per point. The ring storage, the load row bases and
+    the continue-or-restart decision belong to the caller's
+    {!Lower.driver} ({!Lower.begin_row}), so both backends restart
+    exactly when the other would.
 
     {2 Specialization point}
 
@@ -26,11 +42,11 @@
 
     {2 Bit-identity}
 
-    The emitted expression replays the plan interpreter's exact
-    IEEE-754 operation sequence: the same [1.0]/[-1.0] coefficient
-    specializations, the same left-associated [+.] chains, scales
-    applied after group sums, postfix programs reconstructed into the
-    nested expression whose evaluation order is the program's own.
+    The emitted code replays the plan interpreter's exact IEEE-754
+    operation sequence: the same [1.0]/[-1.0] coefficient
+    specializations, the same left-associated [+.] chains and scales
+    applied after group sums for FMA chains, and for tapes the same
+    class operations over the same operands at the same shifts.
     Coefficients render as hex-float literals (round-trip exact for
     every finite double); plans with [NaN] coefficients or unresolved
     {!Plan.Sym}s are refused ({!source} returns [Error]) and the caller
@@ -43,7 +59,8 @@
     through [Callback.register] under {!callback_name}, which embeds
     {!abi}. The host retrieves the pair through [caml_named_value] and
     casts to {!kern}; bumping {!abi} whenever {!type-kern_row} or
-    {!type-kern_point} changes is what keeps that cast sound. *)
+    {!type-kern_point} changes is what keeps that cast sound (and keys
+    every kernel of an older emitter out of the store). *)
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -54,21 +71,36 @@ type kern_row =
   int array ->
   int array ->
   int ->
+  int array array ->
+  int array ->
+  float array array array array ->
+  bool ->
   int ->
   int ->
   unit
-(** [kern_row slot_data slot_tab out out_tab row out_row xb xe]
-    evaluates and stores every point [xb <= x < xe] of the current row
-    — the generated counterpart of {!Lower.store_row}. [row] holds the
-    per-slot flat row bases and [out_row] the output's (both computed
-    by the caller's {!Lower.driver}); the tables are only read for
-    slots the variant marks non-unit-stride. No bounds checks — the
-    caller gates regions exactly as for the interpreter. *)
+(** [kern_row slot_data slot_tab out out_tab row out_row lbase head sets
+    stream xb xe] evaluates and stores every point [xb <= x < xe] of
+    the current row — the generated counterpart of {!Lower.store_row}.
+    [row] holds the per-slot flat row bases and [out_row] the output's;
+    [lbase], [head] and [sets] are the driver's {!Lower.rings} and
+    [stream] its {!Lower.begin_row} verdict (a tape body reads them, an
+    FMA-chain body reads [row]). The tables are only read for slots
+    the variant marks non-unit-stride. No bounds checks — the caller
+    gates regions exactly as for the interpreter. *)
 
-type kern_point = farr array -> int array array -> int array -> int -> float
-(** [kern_point slot_data slot_tab row x]: one point's value — the
-    generated counterpart of {!Lower.eval}, used on traced and
-    sanitized paths where addressing and checks stay with the driver. *)
+type kern_point =
+  farr array ->
+  int array array ->
+  int array ->
+  int array array ->
+  int array ->
+  float array array array array ->
+  int ->
+  float
+(** [kern_point slot_data slot_tab row lbase head sets x]: one point's
+    value after {!Lower.begin_point} — the generated counterpart of
+    {!Lower.eval}, used on traced and sanitized paths where addressing
+    and checks stay with the driver. *)
 
 type kern = { row : kern_row; point : kern_point }
 
@@ -117,3 +149,11 @@ val source : plan:Plan.t -> variant -> (string, string) result
 val supported : Plan.t -> (unit, string) result
 (** Whether {!source} can succeed for this plan (variant-independent:
     checks the body only). *)
+
+val store_row : kern -> Lower.driver -> int -> int -> unit
+(** [store_row k drv xb xe]: {!Lower.store_row} on the compiled kernel —
+    {!Lower.begin_row} decides and positions the rings, then
+    [k.row] runs the row on the driver's storage. *)
+
+val eval : kern -> Lower.driver -> int -> float
+(** [eval k drv x]: {!Lower.eval} on the compiled kernel. *)

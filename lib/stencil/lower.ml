@@ -522,6 +522,17 @@ let check_hulls (accesses : Expr.access array) t =
       within "lane" last l.lo l.hi)
     t.loads
 
+let checked_tape accesses code depth =
+  let t = tape_of ~accesses code depth in
+  check_hulls accesses t;
+  t
+
+let tape_of_plan (plan : Plan.t) =
+  match plan.Plan.body with
+  | Plan.Groups _ -> None
+  | Plan.Program { code; depth } ->
+      Some (checked_tape plan.Plan.accesses code depth)
+
 type bbody =
   | BGroups of {
       goff : int array;  (* group g owns terms [goff.(g), goff.(g+1)) *)
@@ -531,6 +542,15 @@ type bbody =
       t_slot : int array;
     }
   | BTape of tape
+
+(* Raw addressing handles for generated kernels (Codegen): the bound's
+   storage and tables, without the interpreter in between. *)
+type raw = {
+  r_slot_data : farr array;
+  r_slot_tab : int array array;
+  r_out_data : farr;
+  r_out_tab : int array;
+}
 
 type bound = {
   plan : Plan.t;
@@ -547,6 +567,7 @@ type bound = {
   out_unit : bool;
   out_base : int;
   bbody : bbody;
+  raw : raw;
 }
 
 let flatten gs =
@@ -580,20 +601,22 @@ let bind (plan : Plan.t) ~inputs ~output =
     match plan.Plan.body with
     | Plan.Groups gs -> flatten gs
     | Plan.Program { code; depth } ->
-        let t = tape_of ~accesses:plan.Plan.accesses code depth in
-        check_hulls plan.Plan.accesses t;
-        BTape t
+        BTape (checked_tape plan.Plan.accesses code depth)
   in
   let r = plan.Plan.rank in
   let field_tab = Array.map Grid.last_dim_offsets inputs in
   let field_lp = Array.map (fun g -> (Grid.left_pad g).(r - 1)) inputs in
   let acc = plan.Plan.accesses in
   let slot_grid = Array.map (fun (a : Expr.access) -> inputs.(a.field)) acc in
+  let slot_data = Array.map Grid.raw slot_grid
+  and slot_tab = Array.map (fun (a : Expr.access) -> field_tab.(a.field)) acc
+  and out_data = Grid.raw output
+  and out_tab = Grid.last_dim_offsets output in
   { plan;
     output;
     slot_grid;
-    slot_data = Array.map Grid.raw slot_grid;
-    slot_tab = Array.map (fun (a : Expr.access) -> field_tab.(a.field)) acc;
+    slot_data;
+    slot_tab;
     slot_shift =
       Array.map
         (fun (a : Expr.access) -> a.offsets.(r - 1) + field_lp.(a.field))
@@ -601,37 +624,51 @@ let bind (plan : Plan.t) ~inputs ~output =
     slot_outer =
       Array.map (fun (a : Expr.access) -> Array.sub a.offsets 0 (r - 1)) acc;
     slot_base = Array.map Grid.base_address slot_grid;
-    out_data = Grid.raw output;
-    out_tab = Grid.last_dim_offsets output;
+    out_data;
+    out_tab;
     out_lp = (Grid.left_pad output).(r - 1);
     out_unit = Grid.unit_stride output;
     out_base = Grid.base_address output;
-    bbody }
+    bbody;
+    raw =
+      { r_slot_data = slot_data;
+        r_slot_tab = slot_tab;
+        r_out_data = out_data;
+        r_out_tab = out_tab } }
 
 let plan_of b = b.plan
+
+let operands nd =
+  let x = (nd.x, nd.xr, nd.xo) in
+  match nd.op with
+  | Neg -> [ x ]
+  | Add | Sub | Mul | Div | Min | Max -> [ x; (nd.y, nd.yr, nd.yo) ]
+  | Sel -> [ x; (nd.y, nd.yr, nd.yo); (nd.z, nd.zr, nd.zo) ]
+
+let ringed t =
+  let n = Array.length t.rows in
+  let reads = Array.make n 0 and node = Array.make n false in
+  Array.iter
+    (fun nd ->
+      node.(nd.dst) <- true;
+      List.iter (fun (c, _, _) -> reads.(c) <- reads.(c) + 1) (operands nd))
+    t.nodes;
+  Array.init n (fun c -> node.(c) && reads.(c) > 1)
 
 let tape_counts b =
   match b.bbody with
   | BGroups _ -> None
   | BTape t -> Some (Array.length t.nodes, Array.length t.loads)
 
-(* Raw addressing handles for generated kernels (Codegen): the bound's
-   storage and tables, without the interpreter in between. *)
-type raw = {
-  r_slot_data : farr array;
-  r_slot_tab : int array array;
-  r_out_data : farr;
-  r_out_tab : int array;
-}
-
-let raw_of b =
-  { r_slot_data = b.slot_data;
-    r_slot_tab = b.slot_tab;
-    r_out_data = b.out_data;
-    r_out_tab = b.out_tab }
-
 (* Per-region mutable scratch. A bound is immutable and may be shared by
    concurrent pool slices; each slice drives its own driver. *)
+type rings = {
+  head : int array;  (* per class: the ring index of its row [rlo] *)
+  lbase : int array array;  (* per load class: each ring row's flat base *)
+  mutable sets : float array array array array;
+      (* per strip position of the segment, per class: its ring *)
+}
+
 type driver = {
   b : bound;
   row : int array;  (* per-slot row base, set by {!set_row} *)
@@ -642,10 +679,7 @@ type driver = {
   mutable last_xb : int;
   mutable last_xe : int;
   mutable warm : bool;  (* the rings hold [last] on [last_xb, last_xe) *)
-  head : int array;  (* per class: the ring index of its row [rlo] *)
-  lbase : int array array;  (* per load class: each ring row's flat base *)
-  mutable sets : float array array array array;
-      (* per strip position of the segment, per class: its ring *)
+  rings : rings;
 }
 
 let new_set t =
@@ -673,9 +707,7 @@ let driver b =
     last_xb = 0;
     last_xe = 0;
     warm = false;
-    head;
-    lbase;
-    sets }
+    rings = { head; lbase; sets } }
 
 let set_row drv outer =
   let b = drv.b in
@@ -691,6 +723,10 @@ let set_row drv outer =
   drv.out_row <- Grid.row_base b.output outer
 
 let driver_row drv = drv.row
+
+let driver_raw drv = drv.b.raw
+
+let driver_rings drv = drv.rings
 
 let driver_out_row drv = drv.out_row
 
@@ -890,14 +926,14 @@ let run_node nd (r : float array) (x : float array) (y : float array)
    rings have rotated onto this row), else on every row of its row
    hull. *)
 let run_strip b t drv (set : float array array array) x0 n stream =
-  let head = drv.head in
+  let head = drv.rings.head in
   for i = 0 to Array.length t.loads - 1 do
     let l = Array.unsafe_get t.loads i in
     let ring = Array.unsafe_get set l.ldst
     and h = Array.unsafe_get head l.ldst
     and data = Array.unsafe_get b.slot_data l.slot
     and tab = Array.unsafe_get b.slot_tab l.slot
-    and bases = Array.unsafe_get drv.lbase i
+    and bases = Array.unsafe_get drv.rings.lbase i
     and sh = x0 + Array.unsafe_get b.slot_shift l.slot + l.rel
     and m = n + l.lspan in
     let d = Array.length ring in
@@ -928,9 +964,12 @@ let run_strip b t drv (set : float array array array) x0 n stream =
 
 (* Position the rings on the current row: rotate them by one row when
    [stream], else restart them; then the flat row base of every ring
-   row a load class will fill. *)
+   row of every load class ([lbase.(i).(j)] is always the base of
+   logical row [j]: a stream shifts the bases down by one and computes
+   only the newest, which is all the interpreter reads, while a
+   generated kernel reads load rows in place at any [j]). *)
 let ready_rows drv t stream =
-  let head = drv.head in
+  let head = drv.rings.head in
   if stream then
     for c = 0 to Array.length head - 1 do
       let h = head.(c) + 1 in
@@ -940,11 +979,15 @@ let ready_rows drv t stream =
   let b = drv.b and oc = drv.oc and cur = drv.cur in
   let r1 = Array.length oc in
   for i = 0 to Array.length t.loads - 1 do
-    let l = t.loads.(i) and bases = drv.lbase.(i) in
+    let l = t.loads.(i) and bases = drv.rings.lbase.(i) in
     let d = Array.length bases in
     for k = 0 to r1 - 1 do
       oc.(k) <- cur.(k) + l.lead.(k)
     done;
+    if stream then
+      for j = 0 to d - 2 do
+        Array.unsafe_set bases j (Array.unsafe_get bases (j + 1))
+      done;
     for j = (if stream then d - 1 else 0) to d - 1 do
       if r1 > 0 then oc.(r1 - 1) <- cur.(r1 - 1) + l.lead.(r1 - 1) + j;
       bases.(j) <- Grid.row_base b.slot_grid.(l.slot) oc
@@ -965,15 +1008,46 @@ let continues drv xb xe =
   done;
   !same
 
+(* The continue-or-restart decision both backends run a row under:
+   position the rings, make room for every strip position of
+   [xb, xe), and record the row as the one the rings now hold. *)
+let begin_row drv xb xe =
+  match drv.b.bbody with
+  | BGroups _ -> false
+  | BTape _ when xe <= xb ->
+      drv.warm <- false;
+      false
+  | BTape t ->
+      let stream = continues drv xb xe in
+      ready_rows drv t stream;
+      let np = (xe - xb + strip - 1) / strip and rg = drv.rings in
+      if Array.length rg.sets < np then begin
+        let sets = rg.sets in
+        rg.sets <-
+          Array.init np (fun p ->
+              if p < Array.length sets then sets.(p) else new_set t)
+      end;
+      Array.blit drv.cur 0 drv.last 0 (Array.length drv.cur);
+      drv.last_xb <- xb;
+      drv.last_xe <- xe;
+      drv.warm <- true;
+      stream
+
+let begin_point drv =
+  match drv.b.bbody with
+  | BGroups _ -> ()
+  | BTape t ->
+      drv.warm <- false;
+      ready_rows drv t false
+
 let eval drv x =
   let b = drv.b in
   match b.bbody with
   | BGroups { goff; scaled; gscale; t_coeff; t_slot } ->
       point_groups b drv.row goff scaled gscale t_coeff t_slot x
   | BTape t ->
-      drv.warm <- false;
-      ready_rows drv t false;
-      let set = drv.sets.(0) in
+      begin_point drv;
+      let set = drv.rings.sets.(0) in
       run_strip b t drv set x 1 false;
       Array.unsafe_get (Array.unsafe_get set.(t.result) 0) 0
 
@@ -1009,21 +1083,13 @@ let store_row drv xb xe =
             (drv.out_row + Array.unsafe_get b.out_tab (x + b.out_lp))
             (point_groups b row goff scaled gscale t_coeff t_slot x)
         done
-  | BTape _ when xe <= xb -> drv.warm <- false
   | BTape t ->
-      let stream = continues drv xb xe in
-      ready_rows drv t stream;
+      let stream = begin_row drv xb xe in
       let np = (xe - xb + strip - 1) / strip in
-      if Array.length drv.sets < np then begin
-        let sets = drv.sets in
-        drv.sets <-
-          Array.init np (fun p ->
-              if p < Array.length sets then sets.(p) else new_set t)
-      end;
       for p = 0 to np - 1 do
         let x0 = xb + (p * strip) in
         let n = min strip (xe - x0) in
-        let set = Array.unsafe_get drv.sets p in
+        let set = Array.unsafe_get drv.rings.sets p in
         run_strip b t drv set x0 n stream;
         (* the result's ring is one row, so its head stays 0 *)
         let res = Array.unsafe_get (Array.unsafe_get set t.result) 0 in
@@ -1042,8 +1108,4 @@ let store_row drv xb xe =
               (Array.unsafe_get res k)
           done
         end
-      done;
-      Array.blit drv.cur 0 drv.last 0 (Array.length drv.cur);
-      drv.last_xb <- xb;
-      drv.last_xe <- xe;
-      drv.warm <- true
+      done

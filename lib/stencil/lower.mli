@@ -75,6 +75,75 @@ val bind :
 
 val plan_of : bound -> Plan.t
 
+(** {1 The tape}
+
+    Exposed so the native backend ({!Codegen}) emits from the same
+    lowering the interpreter runs, and the YS6xx validator can replay
+    it. Read-only outside this module. *)
+
+val strip : int
+(** Points per strip: 128. *)
+
+type op = Neg | Add | Sub | Mul | Div | Min | Max | Sel
+
+type node = {
+  op : op;
+  dst : int;  (** the node's class *)
+  span : int;  (** lane hull width [hi - lo] of [dst] *)
+  x : int;
+  xr : int;
+  xo : int;
+  y : int;
+  yr : int;
+  yo : int;
+  z : int;
+  zr : int;
+  zo : int;
+}
+(** One operator class: buffer [j], lane [k] of [dst] is [op] of
+    buffers [j + xr], [j + yr], [j + zr], lanes [k + xo], [k + yo],
+    [k + zo] of classes [x], [y], [z]. An operand the operator does not
+    take repeats [x] (see {!operands}). *)
+
+type load = {
+  ldst : int;  (** the load's class *)
+  slot : int;  (** an access-table slot of the class *)
+  lead : int array;
+      (** the rank-1 leading offsets of ring row 0 (row dimension:
+          [rlo]) *)
+  rel : int;
+      (** lane [k] of a strip from [x0] reads table index
+          [x0 + k + slot shift + rel] *)
+  lspan : int;
+  rlo : int;
+  rhi : int;
+  lo : int;
+  hi : int;
+}
+
+type tape = {
+  lanes : int array;  (** per class: lanes of each ring buffer *)
+  rows : int array;  (** per class: ring length *)
+  consts : float option array;  (** per class: [Some c] for a constant *)
+  loads : load array;  (** driver ring-base order *)
+  nodes : node array;  (** operands before users *)
+  result : int;  (** one row, lane [k] is point [x0 + k] *)
+}
+
+val tape_of_plan : Plan.t -> tape option
+(** The tape {!bind} builds for a postfix body (with its hull checks),
+    [None] for an FMA-chain body. Raises as {!bind} does on a
+    malformed body, and {!Unresolved_coefficient} on a [Sym]. *)
+
+val operands : node -> (int * int * int) list
+(** The node's operands as (class, buffer offset, lane offset), as many
+    as its operator takes. *)
+
+val ringed : tape -> bool array
+(** Per class: an operator class that more than one operand reads —
+    the classes a generated kernel keeps in rings of line buffers; one
+    read once is computed inside its user's loop instead. *)
+
 val tape_counts : bound -> (int * int) option
 (** [Some (nodes, loads)]: the operator nodes and load classes of a
     postfix body's tape, after 2-D shift-class numbering — what a
@@ -92,8 +161,6 @@ type raw = {
 (** The bound's addressing handles, exposed so a generated kernel
     ({!Codegen}) can be driven with the same storage and tables the
     interpreter uses — which is what makes the two bit-identical. *)
-
-val raw_of : bound -> raw
 
 type driver
 (** Per-region mutable scratch over a shared {!bound} (slot row bases,
@@ -119,6 +186,38 @@ val driver_row : driver -> int array
 
 val driver_out_row : driver -> int
 (** The output row base of the row selected by the last {!set_row}. *)
+
+val driver_raw : driver -> raw
+(** The addressing handles of the driver's bound. *)
+
+type rings = {
+  head : int array;
+      (** per class: the physical ring index of logical row 0 *)
+  lbase : int array array;
+      (** per load (in {!tape}[.loads] order), per logical ring row:
+          its flat row base — valid for every row after {!begin_row} *)
+  mutable sets : float array array array array;
+      (** per strip position of the segment, per class: its ring of
+          line buffers (logical row [j] is buffer
+          [(head.(c) + j) mod rows.(c)]) *)
+}
+(** A driver's ring storage, shared by both backends. *)
+
+val driver_rings : driver -> rings
+
+val begin_row : driver -> int -> int -> bool
+(** [begin_row drv xb xe]: the continue-or-restart decision of
+    {!store_row} for the current row segment, taken once for both
+    backends. It positions the rings (rotated by one row when the row
+    continues the last one, else restarted), fills {!rings}[.lbase],
+    makes room for every strip position of [\[xb, xe)] and records the
+    row as the one the rings hold. Returns [true] when the rings were
+    rotated, so only each class's newest row must be computed. An
+    FMA-chain body has no rings: [false]. *)
+
+val begin_point : driver -> unit
+(** Restart the rings for a one-point evaluation on the first strip
+    position ({!eval}'s set-up); the next row restarts too. *)
 
 val eval : driver -> int -> float
 (** Value at last-dimension coordinate [x] of the current row: the

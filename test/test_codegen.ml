@@ -449,6 +449,64 @@ let test_store_schema_visible () =
         Alcotest.(check int) "scoped gc evicts the kernel" 1 r.Store.removed
   end
 
+(* ------------------------------------------------------------------ *)
+(* Tape kernels: postfix bodies emitted from the interpreter's tape.   *)
+
+(* The plan interpreter's tape property, re-run on the codegen backend
+   over the same random fused expressions (plane shifts, rank 1-3,
+   extended sweeps, pools, traced points, hand walks with row jumps,
+   repeats and changed segments): each compiled tape kernel must
+   reproduce the oracle bit for bit. *)
+let codegen_tape_property =
+  QCheck.Test.make
+    ~name:"tape: codegen strips, pools, points and walks bit-reproduce the oracle"
+    ~count:24 QCheck.small_int (fun seed ->
+      Test_plan.tape_matches_oracle ~backend:Sweep.Codegen_backend ~seed ())
+
+(* An Offsite production step runs each kernel on the default backend;
+   fused and mixed heun2/rk4 steps (postfix bodies with row rings) must
+   leave the same bits on both backends, with every kernel compiled. *)
+let test_executor_backends () =
+  let module Variant = Yasksite_offsite.Variant in
+  let module Executor = Yasksite_offsite.Executor in
+  let module Tableau = Yasksite_ode.Tableau in
+  let pde = Yasksite_ode.Pde.heat ~rank:2 ~n:40 ~alpha:1.0 in
+  let h = 2e-5 in
+  let variants =
+    List.concat_map
+      (fun tab ->
+        let stages = Array.length tab.Tableau.b in
+        [ Variant.fused tab pde ~h;
+          Variant.with_mask tab pde ~h
+            ~mask:(Array.init stages (fun i -> i mod 2 = 0)) ])
+      [ Tableau.heun2; Tableau.rk4 ]
+  in
+  Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
+  List.iter
+    (fun (v : Variant.t) ->
+      let run backend =
+        Sweep.set_default_backend backend;
+        let ex = Executor.create pde v in
+        Executor.run ex ~steps:3;
+        Executor.state ex
+      in
+      let plan = run Sweep.Plan_backend in
+      let before = (Native.stats ()).Native.fallbacks in
+      let code = run Sweep.Codegen_backend in
+      if Native.available () then
+        Alcotest.(check int)
+          (v.Variant.name ^ ": every kernel compiled") before
+          (Native.stats ()).Native.fallbacks;
+      let same = ref true in
+      Grid.iter_interior plan ~f:(fun idx ->
+          if
+            Int64.bits_of_float (Grid.get plan idx)
+            <> Int64.bits_of_float (Grid.get code idx)
+          then same := false);
+      Alcotest.(check bool) (v.Variant.name ^ ": plan and codegen bit-identical")
+        true !same)
+    variants
+
 let suite =
   [ Alcotest.test_case "backend_of_string three-way" `Quick
       test_backend_of_string;
@@ -470,4 +528,9 @@ let suite =
     Alcotest.test_case "no-toolchain fallback" `Quick
       test_no_toolchain_fallback;
     Alcotest.test_case "kern-v1 visible to store stats/gc" `Quick
-      test_store_schema_visible ]
+      test_store_schema_visible;
+    qt codegen_tape_property;
+    Alcotest.test_case "tape rings restart off the streaming order (codegen)"
+      `Quick (Test_plan.tape_row_orders ~backend:Sweep.Codegen_backend);
+    Alcotest.test_case "Offsite fused and mixed steps: plan = codegen" `Quick
+      test_executor_backends ]

@@ -266,6 +266,51 @@ let test_fill_walk () =
         true (same_bits g reference))
     (walk_shapes ())
 
+(* The interior walks that once went through Grid.get/set per point:
+   copy_interior, max_abs_diff, l2_norm and iter_interior_values must
+   give the bits the Grid.get walk gives, in the same visiting order,
+   across ranks, mixed halos and both layouts — and across a second
+   grid of the same dims but another halo and layout. *)
+let test_interior_walks () =
+  List.iter
+    (fun ((halo, dims, layout) as shape) ->
+      let name = shape_name shape in
+      let rank = Array.length dims in
+      let other =
+        ( Array.map (fun h -> (h + 1) mod 3) halo,
+          dims,
+          match layout with
+          | Grid.Linear -> Grid.Folded (Array.init rank (fun i -> if i = rank - 1 then 2 else 1))
+          | Grid.Folded _ -> Grid.Linear )
+      in
+      let a = numbered shape and b = numbered other in
+      let rng = Prng.create ~seed:(Array.fold_left ( + ) rank dims) in
+      Grid.fill b ~f:(fun _ -> Prng.float_range rng ~lo:(-2.0) ~hi:2.0);
+      let bits x = Int64.bits_of_float x in
+      let worst = ref 0.0 and sum = ref 0.0 and seen = ref [] in
+      Grid.iter_interior a ~f:(fun idx ->
+          let va = Grid.get a idx in
+          seen := (Array.copy idx, va) :: !seen;
+          worst := max !worst (abs_float (va -. Grid.get b idx));
+          sum := !sum +. (va *. va));
+      let got = ref [] in
+      Grid.iter_interior_values a ~f:(fun idx v -> got := (Array.copy idx, v) :: !got);
+      Alcotest.(check bool)
+        (name ^ ": iter_interior_values visits every point in order with its value")
+        true
+        (List.equal (fun (i, v) (j, w) -> i = j && bits v = bits w) !seen !got);
+      Alcotest.(check int64) (name ^ ": max_abs_diff") (bits !worst)
+        (bits (Grid.max_abs_diff a b));
+      Alcotest.(check int64) (name ^ ": l2_norm") (bits (sqrt !sum))
+        (bits (Grid.l2_norm a));
+      let reference = numbered other and copied = numbered other in
+      Grid.iter_interior a ~f:(fun idx -> Grid.set reference idx (Grid.get a idx));
+      Grid.copy_interior ~src:a ~dst:copied;
+      Alcotest.(check bool)
+        (name ^ ": copy_interior writes the interior only, bit for bit")
+        true (same_bits copied reference))
+    (walk_shapes ())
+
 let test_halo_dirichlet_walk () =
   List.iter
     (fun shape ->
@@ -309,6 +354,8 @@ let suite =
     Alcotest.test_case "halo dirichlet" `Quick test_halo_dirichlet;
     Alcotest.test_case "halo periodic" `Quick test_halo_periodic;
     Alcotest.test_case "fill walks rows" `Quick test_fill_walk;
+    Alcotest.test_case "interior copies and reductions walk rows" `Quick
+      test_interior_walks;
     Alcotest.test_case "halo dirichlet walks halo only" `Quick
       test_halo_dirichlet_walk;
     Alcotest.test_case "halo periodic walks halo only" `Quick

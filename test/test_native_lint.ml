@@ -160,6 +160,7 @@ let lit_roundtrip_ast f =
     row_out = Ast.Out_unit { lp = 1 };
     row_expr = Ast.Bin (Ast.Mul, Ast.Lit f,
                         Ast.Get (Ast.Unit_addr { data = 0; row = 0; shift = 0 }));
+    tape = None;
     reg_name = "yasksite.kern.test" }
 
 let hex_float_roundtrip =
@@ -451,6 +452,177 @@ let test_unresolved_plan_is_ys612 () =
           Alcotest.failf "expected YS612 for a Sym-bearing plan, got [%s]"
             (String.concat "," (List.map (fun d -> d.D.code) ds)))
 
+(* ------------------------------------------------------------------ *)
+(* Tape units: postfix bodies emitted from Lower's tape.               *)
+
+module Program = Stencil.Program
+
+(* Every postfix-body kernel the pipeline emits: the hdiff stages
+   under --fuse none, auto (the partition the advisor picks for a
+   1024x1024 run blocked 0x128 on clx/8) and all; the heun2 and rk4
+   fused and mixed Offsite stages; and the plan interpreter's random
+   fused expressions. *)
+let program_specs () =
+  let hd = Stencil.Suite.hdiff in
+  let auto =
+    (Yasksite_ecm.Advisor.best_partition
+       (Yasksite_arch.Machine.scaled ~factor:8 Yasksite_arch.Machine.cascade_lake)
+       hd ~dims:[| 1024; 1024 |]
+       ~config:(Yasksite_ecm.Config.v ~block:[| 0; 128 |] ()))
+      .Yasksite_ecm.Advisor.inline
+  in
+  let stages inline =
+    let f = Program.fuse hd ~inline in
+    Array.to_list (Array.map (Program.stage_spec f) f.Program.stages)
+  in
+  let ode =
+    let module Variant = Yasksite_offsite.Variant in
+    let module Tableau = Yasksite_ode.Tableau in
+    let pde = Yasksite_ode.Pde.heat ~rank:2 ~n:32 ~alpha:1.0 in
+    List.concat_map
+      (fun tab ->
+        let stages = Array.length tab.Tableau.b in
+        List.concat_map
+          (fun (v : Variant.t) -> List.map (fun (k : Variant.kernel) -> k.Variant.spec) v.Variant.kernels)
+          [ Variant.fused tab pde ~h:1e-4;
+            Variant.with_mask tab pde ~h:1e-4 ~mask:(Array.init stages (fun i -> i mod 2 = 0)) ])
+      [ Tableau.heun2; Tableau.rk4 ]
+  in
+  let random =
+    List.init 12 (fun seed ->
+        let rng = Prng.create ~seed in
+        let rank = 1 + Prng.int rng ~bound:3 in
+        Spec.v ~name:(Printf.sprintf "fused%d" seed) ~rank ~n_fields:2
+          (Test_plan.fused_expr rng ~rank ~n_fields:2 ~shifts:`Plane))
+  in
+  List.filter
+    (fun spec ->
+      match (Lower.lower spec).Stencil.Plan.body with
+      | Stencil.Plan.Program _ -> true
+      | Stencil.Plan.Groups _ -> false)
+    (stages [] @ stages auto @ stages (Program.inlinable hd) @ ode @ random)
+
+(* Each program spec's plan, variant, grids and emitted tape unit, on
+   both layouts. *)
+let emitted_tapes () =
+  List.concat_map
+    (fun spec ->
+      let plan = Lower.lower spec in
+      let rank = spec.Spec.rank in
+      let halo = Analysis.halo (Analysis.of_spec spec) in
+      let dims = Array.init rank (fun i -> max 8 ((2 * halo.(i)) + 1)) in
+      List.filter_map
+        (fun layout ->
+          let space = Grid.fresh_space () in
+          let mk () = Grid.create ~space ~halo ~layout ~dims () in
+          let inputs = Array.init spec.Spec.n_fields (fun _ -> mk ()) in
+          let v = Codegen.variant_of ~plan ~inputs ~output:(mk ()) in
+          match Codegen.source ~plan v with
+          | Error _ -> None
+          | Ok src -> Some (spec, plan, v, inputs, src))
+        [ Grid.Linear;
+          Grid.Folded (Array.init rank (fun i -> if i = rank - 1 then 4 else 1)) ])
+    (program_specs ())
+
+let test_tapes_validate () =
+  let n = ref 0 in
+  List.iter
+    (fun (spec, plan, v, inputs, src) ->
+      incr n;
+      (match Ast.parse src with
+      | Ok ast ->
+          if ast.Ast.tape = None then Alcotest.failf "%s: not a tape unit" spec.Spec.name;
+          if Ast.parse (Ast.print ast) <> Ok ast then
+            Alcotest.failf "%s: tape AST does not round-trip" spec.Spec.name
+      | Error (m, l) -> Alcotest.failf "%s: line %d: %s" spec.Spec.name l m);
+      match NL.check ~plan ~variant:v ~inputs src with
+      | [] -> ()
+      | ds ->
+          Alcotest.failf "%s: legal tape kernel rejected: %s" spec.Spec.name
+            (String.concat "; " (List.map (fun d -> d.D.code ^ " " ^ d.D.message) ds)))
+    (emitted_tapes ());
+  Alcotest.(check bool) "tape corpus emitted" true (!n >= 40)
+
+(* The tape validator accepts every tape the builder makes, and rejects
+   a tape whose operand offsets, classes or result were tampered with. *)
+let tape_validator_property =
+  QCheck.Test.make ~name:"tape validator accepts every built tape, rejects tampered ones"
+    ~count:200 QCheck.small_int (fun seed ->
+      let rng = Prng.create ~seed in
+      let rank = 1 + Prng.int rng ~bound:3 in
+      let n_fields = 1 + Prng.int rng ~bound:2 in
+      let shifts = match Prng.int rng ~bound:3 with 0 -> `Any | 1 -> `Lanes | _ -> `Plane in
+      let spec =
+        Spec.v ~name:"fused" ~rank ~n_fields (Test_plan.fused_expr rng ~rank ~n_fields ~shifts)
+      in
+      let plan = Lower.lower spec in
+      match Lower.tape_of_plan plan with
+      | None -> false
+      | Some t ->
+          (match NL.check_tape plan t with
+          | [] -> ()
+          | d :: _ -> QCheck.Test.fail_reportf "built tape rejected: %s" d.D.message);
+          (* tamper with one node so the replay must change: swap a
+             binary operator, or shift a non-constant first operand *)
+          let n = Array.length t.Lower.nodes in
+          let k0 = Prng.int rng ~bound:n in
+          let swap = function
+            | Lower.Add -> Some Lower.Sub
+            | Lower.Sub -> Some Lower.Add
+            | Lower.Mul -> Some Lower.Div
+            | Lower.Div -> Some Lower.Mul
+            | Lower.Min -> Some Lower.Max
+            | Lower.Max -> Some Lower.Min
+            | Lower.Neg | Lower.Sel -> None
+          in
+          let tamper (nd : Lower.node) =
+            match swap nd.Lower.op with
+            | Some op -> Some { nd with Lower.op }
+            | None when t.Lower.consts.(nd.Lower.x) = None ->
+                Some (if Prng.bool rng then { nd with Lower.xo = nd.Lower.xo + 1 }
+                      else { nd with Lower.xr = nd.Lower.xr + 1 })
+            | None -> None
+          in
+          let rec pick i =
+            if i = n then None
+            else
+              let k = (k0 + i) mod n in
+              match tamper t.Lower.nodes.(k) with
+              | Some nd -> Some (k, nd)
+              | None -> pick (i + 1)
+          in
+          match pick 0 with
+          | None -> true
+          | Some (k, nd) ->
+              let bad =
+                { t with Lower.nodes = Array.mapi (fun i x -> if i = k then nd else x) t.Lower.nodes }
+              in
+              List.exists (fun d -> d.D.code = "YS617") (NL.check_tape plan bad)
+              || QCheck.Test.fail_reportf "tampered node %d accepted" k)
+
+(* Every mutant class, tape classes included, is killed with its code
+   on the tape corpus, and every tape class has sites there. *)
+let test_tape_mutation_kill_rate () =
+  let by_class = Hashtbl.create 16 in
+  List.iter
+    (fun (spec, plan, v, inputs, src) ->
+      List.iter
+        (fun (cls, mutant) ->
+          Hashtbl.replace by_class cls ();
+          let codes = List.map (fun d -> d.D.code) (NL.check ~plan ~variant:v ~inputs mutant) in
+          let want = Mis.expected_code cls in
+          if not (List.mem want codes) then
+            Alcotest.failf "%s: %s mutant survived (want %s, got [%s])" spec.Spec.name
+              (Mis.class_name cls) want (String.concat "," codes))
+        (Mis.corpus ~seed:42 ~per_class:2 src))
+    (emitted_tapes ());
+  List.iter
+    (fun cls ->
+      if not (Hashtbl.mem by_class cls) then
+        Alcotest.failf "no %s mutant in the tape corpus" (Mis.class_name cls))
+    Mis.[ Tape_wrong_shift; Tape_wrong_class; Tape_ring_reversed; Tape_stale_ring;
+          Coeff_perturb; Offset_off_by_one; Wrong_slot; Point_row_diverge ]
+
 let suite =
   [ Alcotest.test_case "whole suite validates (no false rejections)" `Quick
       test_suite_validates;
@@ -480,4 +652,9 @@ let suite =
     Alcotest.test_case "unparseable unit is YS600" `Quick
       test_unparseable_source_is_ys600;
     Alcotest.test_case "unevaluable plan is YS612" `Quick
-      test_unresolved_plan_is_ys612 ]
+      test_unresolved_plan_is_ys612;
+    Alcotest.test_case "tape units validate (hdiff, Offsite, fused)" `Quick
+      test_tapes_validate;
+    qt tape_validator_property;
+    Alcotest.test_case "tape mutation corpus: every class killed" `Quick
+      test_tape_mutation_kill_rate ]

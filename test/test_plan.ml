@@ -23,6 +23,8 @@ module Config = Yasksite_ecm.Config
 module Sweep = Yasksite_engine.Sweep
 module Wavefront = Yasksite_engine.Wavefront
 module Sanitizer = Yasksite_engine.Sanitizer
+module Native = Yasksite_engine.Native
+module Codegen = Yasksite_stencil.Codegen
 module Prng = Yasksite_util.Prng
 module Pool = Yasksite_util.Pool
 
@@ -277,8 +279,11 @@ let row_length rng =
    halo at exactly the gated minimum — the field's read radius plus the
    extension — so the class hulls of the outermost points reach the
    edge of the allocation. Halos hold random values too, so a lane
-   computed from the wrong neighbour shows. *)
-let tape_matches_oracle ~seed =
+   computed from the wrong neighbour shows. On [Codegen_backend] every
+   run (the hand walk included, through [Codegen.store_row]/[eval] on
+   the same driver) uses the compiled tape kernel, which must exist
+   wherever kernels can be built. *)
+let tape_matches_oracle ?(backend = Sweep.Plan_backend) ~seed () =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let n_fields = 1 + Prng.int rng ~bound:2 in
@@ -346,24 +351,31 @@ let tape_matches_oracle ~seed =
   iter_box lo hi (fun idx ->
       Grid.set expected idx (Oracle.point spec ~inputs idx));
   let rows = Grid.create ~halo ~layout ~dims () in
-  ignore
-    (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg ?extend spec ~inputs
-       ~output:rows);
+  ignore (Sweep.run ~backend ~config:cfg ?extend spec ~inputs ~output:rows);
   let pooled = Grid.create ~halo ~layout ~dims () in
   Pool.with_pool ~domains:2 (fun pool ->
       ignore
-        (Sweep.run ~pool ~backend:Sweep.Plan_backend ~config:cfg ?extend spec
-           ~inputs ~output:pooled));
+        (Sweep.run ~pool ~backend ~config:cfg ?extend spec ~inputs
+           ~output:pooled));
   let points = Grid.create ~halo ~layout ~dims () in
   ignore
-    (Sweep.run ~backend:Sweep.Plan_backend ~config:cfg ?extend
+    (Sweep.run ~backend ~config:cfg ?extend
        ~trace:(Hierarchy.create Machine.test_chip) spec ~inputs ~output:points);
   (* The same bound driven by hand off the sweep's order: streams broken
      by row jumps and repeats, segments changed at either end, one-point
      evals in between. Every step must match the oracle. *)
   let walked = Grid.create ~halo ~layout ~dims () in
-  let drv =
-    Lower.driver (Lower.bind (Lower.lower spec) ~inputs ~output:walked)
+  let plan = Lower.lower spec in
+  let drv = Lower.driver (Lower.bind plan ~inputs ~output:walked) in
+  let kern =
+    match backend with
+    | Sweep.Codegen_backend -> Native.kern_for ~plan ~inputs ~output:walked
+    | Sweep.Plan_backend -> None
+  in
+  let store_row, eval =
+    match kern with
+    | Some k -> (Codegen.store_row k drv, Codegen.eval k drv)
+    | None -> (Lower.store_row drv, Lower.eval drv)
   in
   let r1 = rank - 1 in
   let outer = Array.sub lo 0 r1 and xb = ref lo.(r1) and xe = ref hi.(r1) in
@@ -385,18 +397,19 @@ let tape_matches_oracle ~seed =
     in
     if Prng.int rng ~bound:8 = 0 then begin
       let x = between !xb !xe in
-      if not (same (Array.append outer [| x |]) (Lower.eval drv x)) then
+      if not (same (Array.append outer [| x |]) (eval x)) then
         walk_ok := false
     end
     else begin
-      Lower.store_row drv !xb !xe;
+      store_row !xb !xe;
       for x = !xb to !xe - 1 do
         let idx = Array.append outer [| x |] in
         if not (same idx (Grid.get walked idx)) then walk_ok := false
       done
     end
   done;
-  same_bits_in lo hi rows expected
+  (backend = Sweep.Plan_backend || kern <> None || not (Native.available ()))
+  && same_bits_in lo hi rows expected
   && same_bits_in lo hi pooled expected
   && same_bits_in lo hi points expected
   && !walk_ok
@@ -404,15 +417,16 @@ let tape_matches_oracle ~seed =
 let tape_property =
   QCheck.Test.make
     ~name:"tape: row strips and traced points bit-reproduce the oracle"
-    ~count:300 QCheck.small_int (fun seed -> tape_matches_oracle ~seed)
+    ~count:300 QCheck.small_int (fun seed -> tape_matches_oracle ~seed ())
 
 (* The rings outside the sweep's order: [Lower.set_row]/[store_row]
    driven by hand over rows that do not stream — backwards, skipping,
    repeating a row, changing [xb] or [xe], a rank-3 row whose y follows
    the last but whose z does not, a one-point [eval] in between — must
    restart rather than reuse a stale ring. Each step is checked against
-   the oracle right after the call. *)
-let test_tape_row_orders () =
+   the oracle right after the call. On [Codegen_backend] the compiled
+   tape kernel runs on the same driver. *)
+let tape_row_orders ?(backend = Sweep.Plan_backend) () =
   let run name spec ~dims steps =
     let halo = Analysis.halo (Analysis.of_spec spec) in
     let inputs =
@@ -426,7 +440,19 @@ let test_tape_row_orders () =
           g)
     in
     let output = Grid.create ~halo ~dims () in
-    let drv = Lower.driver (Lower.bind (Lower.lower spec) ~inputs ~output) in
+    let plan = Lower.lower spec in
+    let drv = Lower.driver (Lower.bind plan ~inputs ~output) in
+    let store_row, eval =
+      match backend with
+      | Sweep.Plan_backend -> (Lower.store_row drv, Lower.eval drv)
+      | Sweep.Codegen_backend -> (
+          match Native.kern_for ~plan ~inputs ~output with
+          | Some k -> (Codegen.store_row k drv, Codegen.eval k drv)
+          | None ->
+              if Native.available () then
+                Alcotest.failf "%s: no compiled kernel" name;
+              (Lower.store_row drv, Lower.eval drv))
+    in
     let check i outer x got =
       let idx = Array.append outer [| x |] in
       let want = Oracle.point spec ~inputs idx in
@@ -442,11 +468,11 @@ let test_tape_row_orders () =
         Lower.set_row drv outer;
         match step with
         | `Row (xb, xe) ->
-            Lower.store_row drv xb xe;
+            store_row xb xe;
             for x = xb to xe - 1 do
               check i outer x (Grid.get output (Array.append outer [| x |]))
             done
-        | `Point x -> check i outer x (Lower.eval drv x))
+        | `Point x -> check i outer x (eval x))
       steps
   in
   let nx = strip + 22 in
@@ -751,7 +777,7 @@ let suite =
     qt traced_backend_parity;
     qt tape_property;
     Alcotest.test_case "tape rings restart off the streaming order" `Quick
-      test_tape_row_orders;
+      (tape_row_orders ~backend:Sweep.Plan_backend);
     Alcotest.test_case "tape keeps signed zeros and NaN payloads apart"
       `Quick test_tape_constant_bits;
     Alcotest.test_case "shift classes shrink the fused hdiff tapes" `Quick
